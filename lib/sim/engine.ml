@@ -35,6 +35,8 @@ and t = {
   mutable crash_handler : thread -> exn -> unit;
   threads : (int, thread) Hashtbl.t;
   mutable jitter : Prng.t option;
+  mutable jitter_block : int; (* [seq lsr 3] of the current mask *)
+  mutable jitter_mask : int;
   mutable cancelled_pending : int;
       (* cancelled, unpopped entries still sitting in the event heap *)
   owner : int; (* id of the domain that created the engine *)
@@ -59,6 +61,8 @@ let create () =
       crash_handler = (fun _ _ -> ());
       threads = Hashtbl.create 64;
       jitter = None;
+      jitter_block = -1;
+      jitter_mask = 0;
       cancelled_pending = 0;
       owner = (Domain.self () :> int) }
   in
@@ -95,24 +99,38 @@ let assert_owner eng op =
 
 let owner_domain eng = eng.owner
 
-let set_jitter eng prng = eng.jitter <- prng
+(* A mask covers its whole block (see [schedule_at]): switching jitter
+   off keeps the current block's mask, switching it on draws a fresh one
+   at the next schedule. *)
+let set_jitter eng prng =
+  if prng <> None then eng.jitter_block <- -1;
+  eng.jitter <- prng
 
 (* With jitter enabled, perturb the low bits of the tie-break sequence
    number so that events scheduled for the same virtual instant may pop in
    a different (but still seed-deterministic) order. Events at different
    times are never reordered, so causality is preserved; only the
-   interleaving of logically-concurrent events varies across seeds. *)
+   interleaving of logically-concurrent events varies across seeds.
+
+   The key must stay unique (the heap's contract): two events sharing
+   [(time, key)] would pop in an order that depends on heap layout. So
+   one mask is drawn per aligned block of 8 sequence numbers (0 without
+   jitter) and xor-ed into the low 3 bits, a bijection on the block. The
+   sequence number's own low bits break the one remaining tie: an
+   unjittered key and a jittered key from the block where jitter was
+   switched on. *)
 let schedule_at eng time act =
   assert_owner eng "schedule_at";
   let time = if Int64.compare time eng.now < 0 then eng.now else time in
-  eng.seq <- eng.seq + 1;
-  let seq =
-    match eng.jitter with
-    | None -> eng.seq
-    | Some p -> eng.seq lxor Prng.int p 8
-  in
+  let seq = eng.seq + 1 in
+  eng.seq <- seq;
+  if seq lsr 3 <> eng.jitter_block then begin
+    eng.jitter_block <- seq lsr 3;
+    eng.jitter_mask <- (match eng.jitter with None -> 0 | Some p -> Prng.int p 8)
+  end;
+  let key = ((seq lxor eng.jitter_mask) lsl 3) lor (seq land 7) in
   let e = { cancelled = false; retired = false; act; eng } in
-  Heap.push eng.events ~time ~seq e;
+  Heap.push eng.events ~time ~seq:key e;
   e
 
 let schedule eng ~after act =

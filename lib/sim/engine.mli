@@ -59,7 +59,9 @@ val set_crash_handler : t -> (thread -> exn -> unit) -> unit
     sequence number of newly scheduled events is perturbed with bits from
     the generator, so logically-concurrent events (same virtual time) may
     interleave differently across seeds while each seed stays exactly
-    replayable. Events at different virtual times are never reordered. *)
+    replayable. Events at different virtual times are never reordered.
+    Perturbed keys stay unique, so the pop order is a function of the
+    seed alone. *)
 val set_jitter : t -> Prng.t option -> unit
 
 (** Schedule a callback at an absolute virtual time (clamped to now). *)
