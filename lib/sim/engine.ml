@@ -3,16 +3,20 @@ exception Killed
 exception Deadlock of string
 
 (* [retired] is set once the entry can never run again — popped by the
-   run loop or removed by heap compaction — so a late [cancel] on a
+   run loop or removed by queue compaction — so a late [cancel] on a
    dead timer handle does not skew the engine's cancelled-entry count.
    Events carry a back-pointer to their engine so [cancel] (whose public
    type is [timer -> unit]) can keep that count exact and trigger lazy
-   heap compaction. *)
+   compaction. [key] is the event's tie-break key; [next] links the
+   events of one same-instant run (see [schedule_at]), and the engine's
+   [nil] sentinel ends a run. *)
 type event = {
   mutable cancelled : bool;
   mutable retired : bool;
   act : unit -> unit;
   eng : t;
+  key : int;
+  mutable next : event;
 }
 
 and thread = {
@@ -28,6 +32,12 @@ and thread = {
 and t = {
   mutable now : int64;
   events : event Heap.t;
+      (* one entry per run: the payload is the run's next event *)
+  nil : event;
+  mutable open_tail : event;
+      (* last event of the open run, or [nil] when no run is open *)
+  mutable open_time : int64;
+  mutable pending : int; (* events queued, cancelled ones included *)
   mutable seq : int;
   mutable next_tid : int;
   mutable current : thread option;
@@ -48,23 +58,31 @@ type _ Effect.t +=
   | E_now : int64 Effect.t
   | E_self : thread Effect.t
   | E_delay : int64 -> unit Effect.t
-  | E_suspend : (thread -> unit) -> unit Effect.t
+  | E_suspend : string * (thread -> unit) -> unit Effect.t
 
 let create () =
-  let eng =
+  let events = Heap.create () and threads = Hashtbl.create 64 in
+  let owner = (Domain.self () :> int) in
+  let rec eng =
     { now = 0L;
-      events = Heap.create ();
+      events;
+      nil;
+      open_tail = nil;
+      open_time = 0L;
+      pending = 0;
       seq = 0;
       next_tid = 0;
       current = None;
       live = 0;
       crash_handler = (fun _ _ -> ());
-      threads = Hashtbl.create 64;
+      threads;
       jitter = None;
       jitter_block = -1;
       jitter_mask = 0;
       cancelled_pending = 0;
-      owner = (Domain.self () :> int) }
+      owner }
+  and nil =
+    { cancelled = false; retired = true; act = ignore; eng; key = 0; next = nil }
   in
   eng.crash_handler <-
     (fun thr e ->
@@ -99,11 +117,33 @@ let assert_owner eng op =
 
 let owner_domain eng = eng.owner
 
+(* Give every queued event its own heap entry again, keyed by its own
+   key. Called when jitter is switched on: the jittered keys of the
+   current block can fall between the keys of events chained in one run. *)
+let split_runs eng =
+  let queued = ref [] in
+  while not (Heap.is_empty eng.events) do
+    let top = Heap.min eng.events in
+    Heap.drop_min eng.events;
+    let e = ref top.Heap.payload in
+    while !e != eng.nil do
+      let ev = !e in
+      e := ev.next;
+      ev.next <- eng.nil;
+      queued := (top.Heap.time, ev) :: !queued
+    done
+  done;
+  List.iter (fun (time, ev) -> Heap.push eng.events ~time ~seq:ev.key ev) !queued;
+  eng.open_tail <- eng.nil
+
 (* A mask covers its whole block (see [schedule_at]): switching jitter
    off keeps the current block's mask, switching it on draws a fresh one
    at the next schedule. *)
 let set_jitter eng prng =
-  if prng <> None then eng.jitter_block <- -1;
+  if Option.is_some prng then begin
+    eng.jitter_block <- -1;
+    split_runs eng
+  end;
   eng.jitter <- prng
 
 (* With jitter enabled, perturb the low bits of the tie-break sequence
@@ -118,19 +158,47 @@ let set_jitter eng prng =
    jitter) and xor-ed into the low 3 bits, a bijection on the block. The
    sequence number's own low bits break the one remaining tie: an
    unjittered key and a jittered key from the block where jitter was
-   switched on. *)
+   switched on.
+
+   Same-instant runs. Clock threads tick in lockstep, so most events land
+   on an instant that is already queued. With jitter off, an event for
+   the instant of the *open run* — the run of the most recently pushed
+   heap entry — is appended to that run instead of pushed: every event
+   queued at that instant before the run opened has a smaller key, and
+   every later one opens a new entry with a larger key, so the run is a
+   contiguous stretch of the [(time, key)] order and draining it in FIFO
+   order pops exactly what the heap would. Draining a run member is O(1);
+   a lone event is a plain heap entry with no extra allocation. Jittered
+   keys do not follow schedule order, so an event joins or opens a run
+   only when jitter is off and its block is unmasked; otherwise it is its
+   own heap entry. *)
 let schedule_at eng time act =
   assert_owner eng "schedule_at";
   let time = if Int64.compare time eng.now < 0 then eng.now else time in
   let seq = eng.seq + 1 in
   eng.seq <- seq;
+  eng.pending <- eng.pending + 1;
   if seq lsr 3 <> eng.jitter_block then begin
     eng.jitter_block <- seq lsr 3;
     eng.jitter_mask <- (match eng.jitter with None -> 0 | Some p -> Prng.int p 8)
   end;
   let key = ((seq lxor eng.jitter_mask) lsl 3) lor (seq land 7) in
-  let e = { cancelled = false; retired = false; act; eng } in
-  Heap.push eng.events ~time ~seq:key e;
+  let e =
+    { cancelled = false; retired = false; act; eng; key; next = eng.nil }
+  in
+  if eng.jitter_mask = 0 && Option.is_none eng.jitter then begin
+    if eng.open_tail != eng.nil && Int64.equal time eng.open_time then
+      eng.open_tail.next <- e
+    else begin
+      Heap.push eng.events ~time ~seq:key e;
+      eng.open_time <- time
+    end;
+    eng.open_tail <- e
+  end
+  else begin
+    Heap.push eng.events ~time ~seq:key e;
+    eng.open_tail <- eng.nil
+  end;
   e
 
 let schedule eng ~after act =
@@ -138,21 +206,40 @@ let schedule eng ~after act =
 
 let timer eng ~after act = schedule_at eng (Int64.add eng.now after) act
 
-(* When cancelled entries dominate the heap, sweep them out in one O(n)
+(* Drop the cancelled events of the run starting at [head], retiring
+   them; returns the first survivor, or [nil]. The heap entry keeps its
+   key: the survivors stay a contiguous stretch of the pop order. *)
+let compact_run eng head =
+  let nil = eng.nil in
+  let first = ref nil and last = ref nil and held_open = ref false in
+  let e = ref head in
+  while !e != nil do
+    let ev = !e in
+    e := ev.next;
+    ev.next <- nil;
+    if ev == eng.open_tail then held_open := true;
+    if ev.cancelled then begin
+      ev.retired <- true;
+      eng.pending <- eng.pending - 1
+    end
+    else begin
+      if !last == nil then first := ev else !last.next <- ev;
+      last := ev
+    end
+  done;
+  if !held_open then eng.open_tail <- !last;
+  !first
+
+(* When cancelled entries dominate the queue, sweep them out in one O(n)
    pass instead of letting them drain through [pop] at their (possibly
    far-future) deadlines. The threshold keeps the amortized cost O(1) per
-   cancel while bounding the heap at ~2x its live size. *)
+   cancel while bounding the queue at ~2x its live size. *)
 let maybe_compact eng =
-  if
-    eng.cancelled_pending > 32
-    && eng.cancelled_pending * 2 > Heap.length eng.events
+  if eng.cancelled_pending > 32 && eng.cancelled_pending * 2 > eng.pending
   then begin
-    Heap.filter eng.events (fun e ->
-        if e.cancelled then begin
-          e.retired <- true;
-          false
-        end
-        else true);
+    Heap.filter_map eng.events (fun head ->
+        let first = compact_run eng head in
+        if first == eng.nil then None else Some first);
     eng.cancelled_pending <- 0
   end
 
@@ -228,6 +315,7 @@ let exec eng thr body =
           | E_delay d ->
             Some
               (fun (k : (a, unit) continuation) ->
+                thr.site <- "delay";
                 if thr.dead then discontinue k Killed
                 else begin
                   thr.cont <- Some k;
@@ -254,9 +342,10 @@ let exec eng thr body =
                   in
                   thr.timers <- tm :: thr.timers
                 end)
-          | E_suspend register ->
+          | E_suspend (site, register) ->
             Some
               (fun (k : (a, unit) continuation) ->
+                thr.site <- site;
                 if thr.dead then discontinue k Killed
                 else begin
                   thr.cont <- Some k;
@@ -299,46 +388,55 @@ let self () = Effect.perform E_self
 
 let time () = Effect.perform E_now
 
-let delay ns =
-  if Int64.compare ns 0L > 0 then begin
-    (self ()).site <- "delay";
-    Effect.perform (E_delay ns)
-  end
+let delay ns = if Int64.compare ns 0L > 0 then Effect.perform (E_delay ns)
 
 let yield () = Effect.perform (E_delay 0L)
 
 let suspend ?(site = "suspend") register =
-  (self ()).site <- site;
-  Effect.perform (E_suspend register)
+  Effect.perform (E_suspend (site, register))
 
 let at_exit_thread f =
   let thr = self () in
   thr.on_exit <- f :: thr.on_exit
 
+(* Dequeue [ev], the front event of [top]'s run: O(1) while the run has
+   more events, a heap pop when it is the last. *)
+let dequeue eng (top : event Heap.entry) ev =
+  if ev.next != eng.nil then begin
+    top.Heap.payload <- ev.next;
+    ev.next <- eng.nil
+  end
+  else begin
+    Heap.drop_min eng.events;
+    if ev == eng.open_tail then eng.open_tail <- eng.nil
+  end;
+  ev.retired <- true;
+  eng.pending <- eng.pending - 1
+
 let run ?until eng =
   assert_owner eng "run";
   let continue_run () =
-    match Heap.peek eng.events with
-    | None -> false
-    | Some e ->
-      if e.Heap.payload.cancelled then begin
-        ignore (Heap.pop eng.events);
-        e.Heap.payload.retired <- true;
+    if Heap.is_empty eng.events then false
+    else begin
+      let top = Heap.min eng.events in
+      let ev = top.Heap.payload in
+      if ev.cancelled then begin
+        dequeue eng top ev;
         eng.cancelled_pending <- eng.cancelled_pending - 1;
         true
       end
       else begin
         match until with
-        | Some u when Int64.compare e.Heap.time u > 0 ->
+        | Some u when Int64.compare top.Heap.time u > 0 ->
           eng.now <- u;
           false
         | _ ->
-          ignore (Heap.pop eng.events);
-          e.Heap.payload.retired <- true;
-          eng.now <- e.Heap.time;
-          e.Heap.payload.act ();
+          dequeue eng top ev;
+          eng.now <- top.Heap.time;
+          ev.act ();
           true
       end
+    end
   in
   while continue_run () do
     ()
@@ -348,14 +446,13 @@ let run_until_quiescent eng = run eng
 
 let live_threads eng = eng.live
 
-let pending_events eng = Heap.length eng.events
+let pending_events eng = eng.pending
 
 (* Virtual time of the earliest pending event (cancelled entries
    included — they still bound how far the clock can silently advance). *)
 let next_event_time eng =
-  match Heap.peek eng.events with
-  | None -> None
-  | Some e -> Some e.Heap.time
+  if Heap.is_empty eng.events then None
+  else Some (Heap.min eng.events).Heap.time
 
 let queue_capacity eng = Heap.capacity eng.events
 

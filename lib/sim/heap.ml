@@ -1,4 +1,4 @@
-type 'a entry = { time : int64; seq : int; payload : 'a }
+type 'a entry = { time : int64; seq : int; mutable payload : 'a }
 
 type 'a t = { mutable data : 'a entry array; mutable size : int }
 
@@ -74,35 +74,43 @@ let push h ~time ~seq payload =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let peek h = if h.size = 0 then None else Some h.data.(0)
+let min h =
+  if h.size = 0 then invalid_arg "Heap.min: empty heap";
+  h.data.(0)
+
+let drop_min h =
+  if h.size = 0 then invalid_arg "Heap.drop_min: empty heap";
+  h.size <- h.size - 1;
+  if h.size > 0 then begin
+    h.data.(0) <- h.data.(h.size);
+    sift_down h 0
+  end;
+  shrink h
 
 let pop h =
   if h.size = 0 then None
   else begin
     let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    shrink h;
+    drop_min h;
     Some top
   end
 
-(* Keep only the entries whose payload satisfies [keep] (called exactly
-   once per entry, so it may carry side effects such as marking the
-   dropped entries dead), then rebuild the heap invariant bottom-up:
-   O(n), versus O(n log n) for popping the survivors one by one. Pop
-   order is unaffected — the heap pops strictly by [(time, seq)]
-   and seq values are unique. *)
-let filter h keep =
+(* Keep the entries for which [f] returns [Some p], with [p] as their
+   new payload ([f] is called exactly once per entry, so it may carry
+   side effects such as marking the dropped entries dead), then rebuild
+   the heap invariant bottom-up: O(n), versus O(n log n) for popping the
+   survivors one by one. Keys are untouched, so the pop order of the
+   survivors is unchanged. *)
+let filter_map h f =
   let k = ref 0 in
   for i = 0 to h.size - 1 do
     let e = h.data.(i) in
-    if keep e.payload then begin
+    match f e.payload with
+    | Some p ->
+      e.payload <- p;
       h.data.(!k) <- e;
       incr k
-    end
+    | None -> ()
   done;
   h.size <- !k;
   (* Heapify bottom-up from the last internal node. *)
@@ -110,3 +118,5 @@ let filter h keep =
     sift_down h i
   done;
   shrink h
+
+let filter h keep = filter_map h (fun p -> if keep p then Some p else None)

@@ -509,6 +509,225 @@ let test_no_deadlock_when_all_exit () =
   Sim.Engine.run eng;
   Sim.Engine.check_deadlock eng
 
+(* Engine event-queue property. A random program — events that, when
+   they fire, schedule children (often [after:0] or onto an instant that
+   is already queued), schedule into the past, cancel earlier timers, or
+   queue a burst of far-future timers and cancel most of it (enough to
+   trigger compaction) — runs on the engine and on a reference model of
+   the queue: a flat list popped in [(time, key)] order, with the engine's
+   compaction rule and jitter-key formula. [jitter] is 0 (off), 1 (on
+   from mid-schedule) or 2 (on from mid-schedule, off again at the first
+   stop). Every pop, and every [run ~until] stop, must observe the same
+   clock, [pending_events] and [next_event_time] in both, and no two
+   events may ever share a [(time, key)]. *)
+type 'h queue = {
+  q_schedule_at : int64 -> (unit -> unit) -> 'h;
+  q_cancel : 'h -> unit;
+  q_now : unit -> int64;
+  q_pending : unit -> int;
+  q_next : unit -> int64 option;
+  q_run : int64 option -> unit;
+  q_set_jitter : Sim.Prng.t option -> unit;
+}
+
+type q_action = Sched of int64 | Sched_past | Cancel of int | Burst of int
+
+let queue_program_cap = 500
+
+let actions_of seed id =
+  let r = Random.State.make [| seed; id |] in
+  List.init (Random.State.int r 3) (fun _ ->
+      match Random.State.int r 20 with
+      | 0 | 1 | 2 | 3 | 4 | 5 -> Sched 0L
+      | 6 | 7 | 8 | 9 -> Sched (Int64.of_int (1 + Random.State.int r 3))
+      | 10 | 11 | 12 -> Sched (Int64.of_int (10 + Random.State.int r 40))
+      | 13 -> Sched_past
+      | 14 | 15 | 16 | 17 -> Cancel (Random.State.bits r)
+      | _ -> Burst (Random.State.bits r))
+
+(* Runs the program on [q]; returns what every pop and stop observed. *)
+let drive_queue q ~seed ~jitter ~init ~stops =
+  let handles = Hashtbl.create 64 in
+  let created = ref 0 in
+  let log = ref [] in
+  let observe id = log := (id, q.q_now (), q.q_pending (), q.q_next ()) :: !log in
+  let rec sched time =
+    if !created < queue_program_cap then begin
+      let id = !created in
+      incr created;
+      Hashtbl.replace handles id (q.q_schedule_at time (fun () -> fire id))
+    end
+  and fire id =
+    observe id;
+    let now = q.q_now () in
+    List.iter
+      (function
+        | Sched d -> sched (Int64.add now d)
+        | Sched_past -> sched (Int64.sub now 5L)
+        | Cancel x -> q.q_cancel (Hashtbl.find handles (x mod !created))
+        | Burst keep ->
+          (* 60 timers on one far instant; all but [keep mod 3] of them
+             (at positions picked from [keep]) are cancelled, then one
+             more joins the instant. *)
+          let first = !created in
+          for _ = 1 to 60 do
+            sched (Int64.add now 100L)
+          done;
+          for i = first to !created - 1 do
+            let pos = i - first in
+            let kept =
+              (keep mod 3 > 0 && pos = keep / 3 mod 60)
+              || (keep mod 3 > 1 && pos = keep / 180 mod 60)
+            in
+            if not kept then q.q_cancel (Hashtbl.find handles i)
+          done;
+          sched (Int64.add now 100L))
+      (actions_of seed id)
+  in
+  let half = List.length init / 2 in
+  List.iteri (fun i t -> if i < half then sched (Int64.of_int t)) init;
+  if jitter > 0 then q.q_set_jitter (Some (Sim.Prng.create seed));
+  List.iteri (fun i t -> if i >= half then sched (Int64.of_int t)) init;
+  List.iteri
+    (fun i u ->
+      q.q_run (Some (Int64.of_int u));
+      observe (-1);
+      if i = 0 && jitter = 2 then q.q_set_jitter None)
+    (List.sort compare stops);
+  q.q_run None;
+  observe (-2);
+  List.rev !log
+
+let engine_queue () =
+  let eng = Sim.Engine.create () in
+  {
+    q_schedule_at = Sim.Engine.schedule_at eng;
+    q_cancel = Sim.Engine.cancel;
+    q_now = (fun () -> Sim.Engine.now eng);
+    q_pending = (fun () -> Sim.Engine.pending_events eng);
+    q_next = (fun () -> Sim.Engine.next_event_time eng);
+    q_run = (fun until -> Sim.Engine.run ?until eng);
+    q_set_jitter = Sim.Engine.set_jitter eng;
+  }
+
+type model_event = {
+  m_time : int64;
+  m_key : int;
+  m_act : unit -> unit;
+  mutable m_cancelled : bool;
+  mutable m_queued : bool;
+}
+
+exception Duplicate_key of int64 * int
+
+let model_queue () =
+  let now = ref 0L and seq = ref 0 and queued = ref [] and cancelled = ref 0 in
+  let jitter = ref None and block = ref (-1) and mask = ref 0 in
+  let keys = Hashtbl.create 64 in
+  let remove ev =
+    ev.m_queued <- false;
+    queued := List.filter (fun e -> e != ev) !queued
+  in
+  let first () =
+    List.fold_left
+      (fun best e ->
+        match best with
+        | Some b when compare (b.m_time, b.m_key) (e.m_time, e.m_key) < 0 ->
+          best
+        | _ -> Some e)
+      None !queued
+  in
+  let rec run until =
+    match first () with
+    | None -> ()
+    | Some ev when ev.m_cancelled ->
+      remove ev;
+      decr cancelled;
+      run until
+    | Some ev -> (
+      match until with
+      | Some u when Int64.compare ev.m_time u > 0 -> now := u
+      | _ ->
+        remove ev;
+        now := ev.m_time;
+        ev.m_act ();
+        run until)
+  in
+  {
+    q_schedule_at =
+      (fun time act ->
+        let time = if Int64.compare time !now < 0 then !now else time in
+        incr seq;
+        if !seq lsr 3 <> !block then begin
+          block := !seq lsr 3;
+          mask := match !jitter with None -> 0 | Some p -> Sim.Prng.int p 8
+        end;
+        let key = ((!seq lxor !mask) lsl 3) lor (!seq land 7) in
+        if Hashtbl.mem keys (time, key) then raise (Duplicate_key (time, key));
+        Hashtbl.replace keys (time, key) ();
+        let ev =
+          { m_time = time; m_key = key; m_act = act; m_cancelled = false;
+            m_queued = true }
+        in
+        queued := ev :: !queued;
+        ev);
+    q_cancel =
+      (fun ev ->
+        if ev.m_queued && not ev.m_cancelled then begin
+          ev.m_cancelled <- true;
+          incr cancelled;
+          if !cancelled > 32 && !cancelled * 2 > List.length !queued then begin
+            List.iter
+              (fun e -> if e.m_cancelled then e.m_queued <- false)
+              !queued;
+            queued := List.filter (fun e -> e.m_queued) !queued;
+            cancelled := 0
+          end
+        end);
+    q_now = (fun () -> !now);
+    q_pending = (fun () -> List.length !queued);
+    q_next =
+      (fun () -> Option.map (fun e -> e.m_time) (first ()));
+    q_run = run;
+    q_set_jitter =
+      (fun p ->
+        if Option.is_some p then block := -1;
+        jitter := p);
+  }
+
+let qcheck_engine_queue_matches_model =
+  QCheck.Test.make
+    ~name:"engine queue matches a (time, key) reference model" ~count:300
+    QCheck.(
+      quad small_nat (int_bound 2)
+        (list_of_size Gen.(1 -- 30) (int_bound 8))
+        (list_of_size Gen.(0 -- 4) (int_bound 300)))
+    (fun (seed, jitter, init, stops) ->
+      let run q = drive_queue q ~seed ~jitter ~init ~stops in
+      let got = run (engine_queue ()) in
+      let want = run (model_queue ()) in
+      if got <> want then
+        QCheck.Test.fail_reportf "engine and model diverge after %d pops"
+          (let rec common a b n =
+             match (a, b) with
+             | x :: a, y :: b when x = y -> common a b (n + 1)
+             | _ -> n
+           in
+           common got want 0)
+      else true)
+
+(* Jitter switched on while a run of same-instant events is queued: the
+   first jittered keys share a block with the run and can fall between
+   its keys, so the pop order must still be the model's. *)
+let test_jitter_on_splits_runs () =
+  for seed = 0 to 63 do
+    let run q =
+      drive_queue q ~seed ~jitter:1 ~init:[ 5; 5; 5; 5; 5; 5; 5 ] ~stops:[]
+    in
+    if run (engine_queue ()) <> run (model_queue ()) then
+      Alcotest.failf "seed %d: engine and model diverge" seed
+  done
+
 let suite =
   [
     Alcotest.test_case "clock advances with delays" `Quick test_clock_advances;
@@ -553,6 +772,9 @@ let suite =
       test_foreign_domain_rejected;
     QCheck_alcotest.to_alcotest qcheck_heap_ordered;
     QCheck_alcotest.to_alcotest qcheck_heap_filter_preserves_order;
+    Alcotest.test_case "jitter switched on mid-run splits runs" `Quick
+      test_jitter_on_splits_runs;
+    QCheck_alcotest.to_alcotest qcheck_engine_queue_matches_model;
     QCheck_alcotest.to_alcotest qcheck_prng_bounds;
     QCheck_alcotest.to_alcotest qcheck_mailbox_preserves_messages;
   ]
