@@ -22,7 +22,8 @@ let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
     live_set = [];
     page_hash = Hashtbl.create 1024;
     frames = Hashtbl.create 1024;
-    free_frames = [];
+    free_frames =
+      { Types.recycled = []; ranges = []; borrowed = Queue.create () };
     free_frame_count = 0;
     total_frames = 0;
     reserved_loans = [];
@@ -74,20 +75,19 @@ let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
     remote_fault_ns = Sim.Stats.summary ();
   }
 
-(* Populate the free-frame list: every owned page except the kernel
-   reserve on the boss node. *)
+(* Populate the free-frame pool: every owned page except the kernel
+   reserve on the boss node, one pfn range per node. *)
 let init_frames (sys : Types.system) (c : Types.cell) =
   let cfg = sys.Types.mcfg in
-  let frames = ref [] in
-  List.iter
-    (fun node ->
-      let first = Flash.Addr.first_pfn_of_node cfg node in
-      let skip = if node = c.Types.boss_node then kernel_reserved_pages else 0 in
-      for pfn = first + skip to first + cfg.Flash.Config.mem_pages_per_node - 1 do
-        frames := pfn :: !frames
-      done)
-    c.Types.cell_nodes;
-  Types.set_free c (List.rev !frames);
+  Types.reset_free c
+    (List.map
+       (fun node ->
+         let first = Flash.Addr.first_pfn_of_node cfg node in
+         let skip =
+           if node = c.Types.boss_node then kernel_reserved_pages else 0
+         in
+         (first + skip, first + cfg.Flash.Config.mem_pages_per_node - 1))
+       c.Types.cell_nodes);
   c.Types.total_frames <- c.Types.free_frame_count
 
 (* Grant this cell's processors write access to all of its own memory;

@@ -34,7 +34,7 @@ let sweep (sys : Types.system) (c : Types.cell) =
     List.iter
       (fun pf ->
         (* Only frames still sitting in the free pool can be returned. *)
-        if List.mem pf.Types.pfn c.Types.free_frames then begin
+        if Types.mem_free c pf.Types.pfn then begin
           (try
              Page_alloc.return_frame sys c pf;
              incr released

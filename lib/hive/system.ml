@@ -78,7 +78,7 @@ let reintegrate (sys : Types.system) cell_id =
      but the page cache does not. *)
   Hashtbl.reset c.Types.page_hash;
   Hashtbl.reset c.Types.frames;
-  Types.set_free c [];
+  Types.reset_free c [];
   c.Types.total_frames <- 0;
   Hashtbl.reset c.Types.swap_table;
   c.Types.swap_blocks_used <- 0;

@@ -216,6 +216,20 @@ type rpc_session = {
    [ra_window] the number of pages the next sequential miss will ask for. *)
 type ra_stream = { mutable ra_last : int; mutable ra_window : int }
 
+(* A cell's free page frames, in allocation order: [recycled] frames
+   (most recently freed first), then the never-allocated frames as
+   [ranges] of consecutive pfns (one per owned node at boot; removal only
+   splits them, so a range never spans two nodes), then [borrowed] frames
+   in arrival order. Boot is O(nodes), and taking or pushing a frame is
+   O(1), however much memory the cell owns. *)
+type frame_range = { mutable lo : int; hi : int }
+
+type free_pool = {
+  mutable recycled : int list;
+  mutable ranges : frame_range list;
+  borrowed : int Queue.t;
+}
+
 type cell = {
   cell_id : cell_id;
   cell_nodes : int list; (* node ids owned throughout execution *)
@@ -228,10 +242,10 @@ type cell = {
   (* pfdat tables *)
   page_hash : (logical_id, pfdat) Hashtbl.t;
   frames : (int, pfdat) Hashtbl.t; (* by pfn: own + borrowed frames *)
-  mutable free_frames : int list;
+  free_frames : free_pool;
   mutable free_frame_count : int;
       (* maintained alongside [free_frames] so Wax's once-per-period
-         publish (and every pressure check) is O(1), not O(free list) *)
+         publish (and every pressure check) is O(1) *)
   mutable total_frames : int; (* frames owned at boot, for pressure pcts *)
   mutable reserved_loans : int list; (* own frames currently loaned out *)
   (* fs *)
@@ -391,43 +405,102 @@ let cell_of_node (sys : system) node =
     invalid_arg "cell_of_node: node not owned by any cell";
   sys.cells.(sys.node_owner.(node))
 
-(* Free-frame pool mutators: every site goes through these so
-   [free_frame_count] can never drift from the list. *)
+(* Free-frame pool operations: every site goes through these so
+   [free_frame_count] can never drift from the pool. *)
+
+(* Empty the pool, then fill it with the inclusive pfn ranges [(lo, hi)],
+   in order. *)
+let reset_free (c : cell) ranges =
+  let pool = c.free_frames in
+  pool.recycled <- [];
+  pool.ranges <- List.map (fun (lo, hi) -> { lo; hi }) ranges;
+  Queue.clear pool.borrowed;
+  c.free_frame_count <-
+    List.fold_left (fun n (lo, hi) -> n + hi - lo + 1) 0 ranges
 
 let push_free (c : cell) pfn =
-  c.free_frames <- pfn :: c.free_frames;
+  c.free_frames.recycled <- pfn :: c.free_frames.recycled;
   c.free_frame_count <- c.free_frame_count + 1
 
 (* Append variant: borrowed frames go to the tail so local frames are
    preferred by allocation. *)
 let push_free_last (c : cell) pfn =
-  c.free_frames <- c.free_frames @ [ pfn ];
+  Queue.push pfn c.free_frames.borrowed;
   c.free_frame_count <- c.free_frame_count + 1
 
 let take_free (c : cell) =
-  match c.free_frames with
-  | pfn :: rest ->
-    c.free_frames <- rest;
-    c.free_frame_count <- c.free_frame_count - 1;
-    Some pfn
-  | [] -> None
+  let pool = c.free_frames in
+  let pfn =
+    match pool.recycled with
+    | pfn :: rest ->
+      pool.recycled <- rest;
+      Some pfn
+    | [] -> (
+      match pool.ranges with
+      | r :: rest ->
+        let pfn = r.lo in
+        if pfn = r.hi then pool.ranges <- rest else r.lo <- pfn + 1;
+        Some pfn
+      | [] -> Queue.take_opt pool.borrowed)
+  in
+  if Option.is_some pfn then c.free_frame_count <- c.free_frame_count - 1;
+  pfn
 
+let in_range pfn r = r.lo <= pfn && pfn <= r.hi
+
+let mem_free (c : cell) pfn =
+  let pool = c.free_frames in
+  List.mem pfn pool.recycled
+  || List.exists (in_range pfn) pool.ranges
+  || Queue.fold (fun found p -> found || p = pfn) false pool.borrowed
+
+(* Remove every occurrence of [pfn] from the pool. *)
 let remove_free (c : cell) pfn =
+  let pool = c.free_frames in
   let removed = ref 0 in
-  c.free_frames <-
-    List.filter
-      (fun p ->
-        if p = pfn then begin
-          incr removed;
-          false
-        end
-        else true)
-      c.free_frames;
+  let keep p =
+    if p = pfn then begin
+      incr removed;
+      false
+    end
+    else true
+  in
+  if List.mem pfn pool.recycled then
+    pool.recycled <- List.filter keep pool.recycled;
+  if List.exists (in_range pfn) pool.ranges then
+    pool.ranges <-
+      List.concat_map
+        (fun r ->
+          if not (in_range pfn r) then [ r ]
+          else begin
+            incr removed;
+            (if r.lo < pfn then [ { lo = r.lo; hi = pfn - 1 } ] else [])
+            @ if pfn < r.hi then [ { lo = pfn + 1; hi = r.hi } ] else []
+          end)
+        pool.ranges;
+  if Queue.fold (fun found p -> found || p = pfn) false pool.borrowed then begin
+    let rest = Queue.create () in
+    Queue.iter (fun p -> if keep p then Queue.push p rest) pool.borrowed;
+    Queue.clear pool.borrowed;
+    Queue.transfer rest pool.borrowed
+  end;
   c.free_frame_count <- c.free_frame_count - !removed
 
-let set_free (c : cell) pfns =
-  c.free_frames <- pfns;
-  c.free_frame_count <- List.length pfns
+(* First frame, in allocation order, on one of the cell's own nodes.
+   A range never spans two nodes, so its first frame decides it. *)
+let first_local_free (c : cell) ~node_of_pfn =
+  let local pfn = List.mem (node_of_pfn pfn) c.cell_nodes in
+  let pool = c.free_frames in
+  match List.find_opt local pool.recycled with
+  | Some _ as found -> found
+  | None -> (
+    match List.find_opt (fun r -> local r.lo) pool.ranges with
+    | Some r -> Some r.lo
+    | None ->
+      Queue.fold
+        (fun found p ->
+          match found with None when local p -> Some p | _ -> found)
+        None pool.borrowed)
 
 let cell sys id = sys.cells.(id)
 

@@ -402,12 +402,8 @@ let try_salvage (sys : Types.system) (c : Types.cell) (pf : Types.pfdat)
         (* Take a strictly local free frame; under memory pressure the
            salvage is skipped rather than evicting anything mid-recovery. *)
         let local_free =
-          List.find_opt
-            (fun pfn ->
-              List.mem
-                (Flash.Addr.node_of_pfn sys.Types.mcfg pfn)
-                c.Types.cell_nodes)
-            c.Types.free_frames
+          Types.first_local_free c
+            ~node_of_pfn:(Flash.Addr.node_of_pfn sys.Types.mcfg)
         in
         match local_free with
         | None ->

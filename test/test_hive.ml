@@ -35,7 +35,7 @@ let test_boot () =
         (fun (c : Hive.Types.cell) ->
           Alcotest.(check bool) "cell up" true (Hive.Types.cell_alive c);
           Alcotest.(check bool) "has free frames" true
-            (List.length c.Hive.Types.free_frames > 100))
+            (c.Hive.Types.free_frame_count > 100))
         sys.Hive.Types.cells)
 
 let test_local_file_io () =
@@ -389,6 +389,90 @@ let test_borrow_frames () =
       finish sys [ p ];
       Alcotest.(check int) "borrow/return ok" 0 (exit_code p))
 
+(* The free-frame pool against the plain list it replaces: [push_free]
+   prepends, [push_free_last] appends, [take_free] pops the head,
+   [remove_free] drops every occurrence. Random operation sequences over
+   a two-node cell (node = pfn / 100, some pfns on foreign nodes) must
+   agree on every result, on [free_frame_count], on membership, on the
+   first local frame and on the final allocation order. *)
+type pool_op =
+  | Push of int
+  | Push_last of int
+  | Take
+  | Remove of int
+  | Mem of int
+  | First_local
+
+let qcheck_free_pool_matches_list =
+  let pfn = QCheck.Gen.int_bound 399 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun p -> Push p) pfn);
+          (2, map (fun p -> Push_last p) pfn);
+          (5, return Take);
+          (2, map (fun p -> Remove p) pfn);
+          (2, map (fun p -> Mem p) pfn);
+          (1, return First_local);
+        ])
+  in
+  QCheck.Test.make ~name:"free-frame pool matches its list model" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          triple (int_bound 99) (int_bound 99) (list_size (0 -- 300) op)))
+    (fun (skip0, skip1, ops) ->
+      let c = Hive.Cell.make Flash.Config.small ~id:0 ~nodes:[ 0; 1 ] in
+      let node_of_pfn p = p / 100 in
+      let ranges = [ (skip0, 99); (100 + skip1, 199) ] in
+      Hive.Types.reset_free c ranges;
+      let model =
+        ref
+          (List.concat_map
+             (fun (lo, hi) -> List.init (hi - lo + 1) (fun i -> lo + i))
+             ranges)
+      in
+      let local p = List.mem (node_of_pfn p) [ 0; 1 ] in
+      let step = function
+        | Push p ->
+          Hive.Types.push_free c p;
+          model := p :: !model;
+          true
+        | Push_last p ->
+          Hive.Types.push_free_last c p;
+          model := !model @ [ p ];
+          true
+        | Take ->
+          let want =
+            match !model with
+            | p :: rest ->
+              model := rest;
+              Some p
+            | [] -> None
+          in
+          Hive.Types.take_free c = want
+        | Remove p ->
+          Hive.Types.remove_free c p;
+          model := List.filter (fun q -> q <> p) !model;
+          true
+        | Mem p -> Hive.Types.mem_free c p = List.mem p !model
+        | First_local ->
+          Hive.Types.first_local_free c ~node_of_pfn
+          = List.find_opt local !model
+      in
+      List.for_all
+        (fun o ->
+          step o && c.Hive.Types.free_frame_count = List.length !model)
+        ops
+      &&
+      let rec drain acc =
+        match Hive.Types.take_free c with
+        | Some p -> drain (p :: acc)
+        | None -> List.rev acc
+      in
+      drain [] = !model && c.Hive.Types.free_frame_count = 0)
+
 let suite =
   [
     Alcotest.test_case "boot" `Quick test_boot;
@@ -416,4 +500,5 @@ let suite =
     Alcotest.test_case "careful ref defends remote corruption" `Quick
       test_careful_ref_defends_remote_corruption;
     Alcotest.test_case "physical-level borrow/return" `Quick test_borrow_frames;
+    QCheck_alcotest.to_alcotest qcheck_free_pool_matches_list;
   ]

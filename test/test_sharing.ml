@@ -99,7 +99,7 @@ let test_exhaustion_borrows_transparently () =
   with_sys (fun _eng sys ->
       in_thread sys (fun () ->
           let c0 = sys.Hive.Types.cells.(0) in
-          let own_pages = List.length c0.Hive.Types.free_frames in
+          let own_pages = c0.Hive.Types.free_frame_count in
           let n = own_pages + 64 in
           let remote = ref 0 in
           for _ = 1 to n do
