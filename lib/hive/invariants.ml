@@ -267,18 +267,25 @@ let check_cow (sys : Types.system) ~exempt =
 (* [pf.refs] must equal the number of process mappings whose [map_pf] is
    (physically) that pfdat. Counting is by identity: extended pfdats for
    the same pfn can come and go, and only pointer equality ties a mapping
-   to the generation it mapped. *)
+   to the generation it mapped. Both indexes are keyed by pfn and matched
+   by identity within a key, so the check is linear in mappings and
+   frames. *)
 let check_refcounts (_sys : Types.system) ~cells =
   let bad = ref [] in
+  let find tbl (pf : Types.pfdat) =
+    List.find_opt (fun (q, _) -> q == pf) (Hashtbl.find_all tbl pf.Types.pfn)
+  in
   List.iter
     (fun (c : Types.cell) ->
-      let counts : (Types.pfdat * int ref) list ref = ref [] in
+      let counts : (int, Types.pfdat * int ref) Hashtbl.t = Hashtbl.create 64 in
+      let mapped = ref [] in (* most recently first mapped first *)
       let count_for pf =
-        match List.find_opt (fun (q, _) -> q == pf) !counts with
+        match find counts pf with
         | Some (_, r) -> r
         | None ->
           let r = ref 0 in
-          counts := (pf, r) :: !counts;
+          Hashtbl.add counts pf.Types.pfn (pf, r);
+          mapped := pf :: !mapped;
           r
       in
       List.iter
@@ -287,15 +294,11 @@ let check_refcounts (_sys : Types.system) ~cells =
             (fun _ (m : Types.mapping) -> incr (count_for m.Types.map_pf))
             p.Types.mappings)
         c.Types.processes;
-      let seen : Types.pfdat list ref = ref [] in
-      let check pf =
-        if not (List.memq pf !seen) then begin
-          seen := pf :: !seen;
-          let expect =
-            match List.find_opt (fun (q, _) -> q == pf) !counts with
-            | Some (_, r) -> !r
-            | None -> 0
-          in
+      let seen : (int, Types.pfdat) Hashtbl.t = Hashtbl.create 64 in
+      let check (pf : Types.pfdat) =
+        if not (List.memq pf (Hashtbl.find_all seen pf.Types.pfn)) then begin
+          Hashtbl.add seen pf.Types.pfn pf;
+          let expect = match find counts pf with Some (_, r) -> !r | None -> 0 in
           if pf.Types.refs <> expect then
             bad :=
               v "refcount" "cell %d pfn %d: refs=%d but %d mapping(s) exist"
@@ -306,7 +309,7 @@ let check_refcounts (_sys : Types.system) ~cells =
       Hashtbl.iter (fun _ pf -> check pf) c.Types.frames;
       Hashtbl.iter (fun _ pf -> check pf) c.Types.page_hash;
       (* Mappings must point at live pfdats, not freed generations. *)
-      List.iter (fun (pf, _) -> check pf) !counts)
+      List.iter check !mapped)
     cells;
   List.rev !bad
 

@@ -48,6 +48,13 @@ val check_rpc_at_most_once : Types.system -> violation list
     tests. *)
 val check_rpc_epochs : Types.system -> violation list
 
+(** Reference counts: every pfdat's [refs] equals the number of process
+    mappings that point at that very pfdat. A mapping left pointing at a
+    freed generation of a frame (whose [refs] was reset to 0) is reported
+    the same way. Included in {!check}; exposed for targeted tests. *)
+val check_refcounts :
+  Types.system -> cells:Types.cell list -> violation list
+
 (** Import-cache coherence: every parked binding is an idle read-only
     extended file import whose data home is alive, still caches the page
     at the same frame, holds a matching export record, and whose file

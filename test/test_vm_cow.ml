@@ -367,6 +367,46 @@ let qcheck_page_alloc_conservation =
            [ p ]);
       !ok && total () = before && c1.Hive.Types.reserved_loans = [])
 
+(* The refcount oracle must report a pfdat whose [refs] disagrees with
+   its mappings, and a mapping left pointing at a freed generation of a
+   frame (a distinct pfdat with the same pfn as the live one). *)
+let test_refcount_check_reports_planted_faults () =
+  with_sys (fun eng sys ->
+      let vp = ref 0 in
+      let p =
+        in_proc sys ~on:0 ~name:"t" (fun sys p ->
+            let r = Hive.Syscall.mmap_anon sys p ~npages:2 in
+            vp := r.Hive.Types.start_page;
+            Hive.Syscall.write_word sys p ~vpage:!vp ~offset:0 1L;
+            Hive.Syscall.write_word sys p ~vpage:(!vp + 1) ~offset:0 2L;
+            Sim.Engine.delay 1_000_000_000L)
+      in
+      Sim.Engine.run ~until:500_000_000L eng;
+      let c0 = sys.Hive.Types.cells.(0) in
+      let check () =
+        List.map Hive.Invariants.to_string
+          (Hive.Invariants.check_refcounts sys ~cells:[ c0 ])
+      in
+      Alcotest.(check (list string)) "clean before planting" [] (check ());
+      let mapping v = Hashtbl.find p.Hive.Types.mappings v in
+      let pf1 = (mapping !vp).Hive.Types.map_pf in
+      pf1.Hive.Types.refs <- pf1.Hive.Types.refs + 5;
+      let m2 = mapping (!vp + 1) in
+      let live = m2.Hive.Types.map_pf in
+      live.Hive.Types.refs <- live.Hive.Types.refs - 1;
+      let stale = Hive.Pfdat.make ~pfn:live.Hive.Types.pfn ~table_cell:0 in
+      Hashtbl.replace p.Hive.Types.mappings (!vp + 1)
+        { m2 with Hive.Types.map_pf = stale };
+      Alcotest.(check (list string))
+        "both planted faults reported"
+        [
+          Printf.sprintf "[refcount] cell 0 pfn %d: refs=%d but 1 mapping(s) exist"
+            pf1.Hive.Types.pfn pf1.Hive.Types.refs;
+          Printf.sprintf "[refcount] cell 0 pfn %d: refs=0 but 1 mapping(s) exist"
+            live.Hive.Types.pfn;
+        ]
+        (List.sort compare (check ())))
+
 let suite =
   [
     Alcotest.test_case "anon pages are zero-filled" `Quick test_anon_zero_fill;
@@ -389,6 +429,8 @@ let suite =
       test_write_word_refault_bounded;
     Alcotest.test_case "careful anon_get failure reports a hint" `Quick
       test_anon_get_careful_failure_reports_hint;
+    Alcotest.test_case "refcount check reports planted faults" `Quick
+      test_refcount_check_reports_planted_faults;
     QCheck_alcotest.to_alcotest qcheck_cow_model;
     QCheck_alcotest.to_alcotest qcheck_page_alloc_conservation;
   ]
