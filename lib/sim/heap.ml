@@ -118,5 +118,3 @@ let filter_map h f =
     sift_down h i
   done;
   shrink h
-
-let filter h keep = filter_map h (fun p -> if keep p then Some p else None)

@@ -45,7 +45,3 @@ val pop : 'a t -> 'a entry option
     unique. Used by the engine to reclaim cancelled timers without
     waiting for their deadlines to drain through {!pop}. *)
 val filter_map : 'a t -> ('a -> 'a option) -> unit
-
-(** [filter h keep] is [filter_map] keeping the entries whose payload
-    satisfies [keep], unchanged. *)
-val filter : 'a t -> ('a -> bool) -> unit

@@ -380,7 +380,7 @@ let qcheck_heap_filter_preserves_order =
       let h = Sim.Heap.create () in
       List.iter (fun (t, i, _) -> Sim.Heap.push h ~time:t ~seq:i i) entries;
       let keep = Array.of_list (List.map (fun (_, _, b) -> b) entries) in
-      Sim.Heap.filter h (fun i -> keep.(i));
+      Sim.Heap.filter_map h (fun i -> if keep.(i) then Some i else None);
       let expected =
         List.filter_map (fun (t, i, b) -> if b then Some (t, i) else None)
           entries
