@@ -90,7 +90,30 @@ let output_term =
     const (fun out_trace out_metrics -> { out_trace; out_metrics })
     $ trace $ metrics)
 
-let boot_shape ?(oracle = false) ?wax shape =
+(* Open every requested output file before booting anything, so a bad
+   path fails fast with one line and exit 2 instead of an uncaught
+   [Sys_error] after the run. *)
+let with_outputs ?(also = []) output run =
+  let paths =
+    Option.to_list output.out_trace
+    @ Option.to_list output.out_metrics
+    @ also
+  in
+  let unwritable path =
+    match close_out (open_out path) with
+    | () -> None
+    | exception Sys_error msg ->
+      (* [msg] reads "<path>: <reason>"; keep the reason. *)
+      let n = min (String.length path + 2) (String.length msg) in
+      Some (path, String.sub msg n (String.length msg - n))
+  in
+  match List.find_map unwritable paths with
+  | Some (path, reason) ->
+    Printf.eprintf "hive_sim: cannot write output file %S: %s\n" path reason;
+    2
+  | None -> run ()
+
+let boot_shape shape =
   let ncells = Option.value ~default:4 shape.sh_cells in
   let eng = Sim.Engine.create () in
   let mcfg =
@@ -109,11 +132,9 @@ let boot_shape ?(oracle = false) ?wax shape =
   in
   let sys =
     Hive.System.boot ~mcfg ~params ~ncells ~multicellular:(not shape.sh_smp)
-      ~oracle
-      ~wax:(Option.value ~default:(not shape.sh_smp) wax)
-      eng
+      ~wax:(not shape.sh_smp) eng
   in
-  (eng, sys, ncells)
+  (sys, ncells)
 
 let setup_and_run sys = function
   | "pmake" ->
@@ -158,8 +179,9 @@ let finish_observability sys ~trace_close ~(output : output) =
 (* ---- workload command ---- *)
 
 let run_workload name shape verbose output =
+  with_outputs output @@ fun () ->
   if verbose then Sim.Trace.set_level Sim.Trace.Info;
-  let _eng, sys, ncells = boot_shape shape in
+  let sys, ncells = boot_shape shape in
   let trace_close = attach_trace sys output.out_trace in
   let result, _ = setup_and_run sys name in
   Printf.printf "%s on %s (%d cell%s): %.3f s simulated%s\n"
@@ -183,8 +205,9 @@ let run_workload name shape verbose output =
 
 let run_server shape duration_ms rate zipf churn_pct deadline_ms kill_cell
     kill_at_ms seed verbose output =
+  with_outputs output @@ fun () ->
   if verbose then Sim.Trace.set_level Sim.Trace.Info;
-  let _eng, sys, ncells = boot_shape shape in
+  let sys, ncells = boot_shape shape in
   let trace_close = attach_trace sys output.out_trace in
   (match kill_cell with
   | Some c when c < 0 || c >= ncells ->
@@ -261,151 +284,124 @@ let run_sweep workload shape areas quick out_dir =
     else 0
   end
 
-(* ---- fault command ---- *)
+(* ---- fault command: a one-plan experiment ---- *)
 
 let run_fault kind shape node victim at_ms cascade_node oracle link_from
     drop_pct dup_pct delay_pct dur_ms output =
-  let eng, sys, _ = boot_shape ~oracle ~wax:false shape in
-  let trace_close = attach_trace sys output.out_trace in
-  Workloads.Pmake.setup sys Workloads.Pmake.default;
-  let t_inject = ref 0L in
-  let rng = Sim.Prng.create 1 in
-  (* With --cascade-node, fail a second node while the first failure's
-     recovery round is in flight (between the two global barriers). *)
-  let inject_cascade () =
-    match cascade_node with
-    | None -> ()
-    | Some second ->
-      let past_barrier1 () =
-        sys.Hive.Types.recovery_round_active
-        && List.exists
-             (fun (phase, t) ->
-               phase = "recovery.barrier1" && Int64.compare t !t_inject >= 0)
-             sys.Hive.Types.recovery_timeline
-      in
-      let rec poll tries =
-        if tries > 0 && not (past_barrier1 ()) then begin
-          Sim.Engine.delay 100_000L;
-          poll (tries - 1)
-        end
-      in
-      poll 10_000;
-      Printf.printf "cascade: failing node %d mid-recovery\n" second;
-      Hive.System.inject_node_failure sys second
+  with_outputs output @@ fun () ->
+  let ncells = Option.value ~default:4 shape.sh_cells in
+  let nodes =
+    Option.value shape.sh_nodes
+      ~default:Flash.Config.default.Flash.Config.nodes
   in
-  ignore
-    (Sim.Engine.spawn eng ~name:"injector" (fun () ->
-         Sim.Engine.delay (Int64.of_int (at_ms * 1_000_000));
-         t_inject := Sim.Engine.time ();
-         match kind with
-         | "node" ->
-           Hive.System.inject_node_failure sys node;
-           inject_cascade ()
-         | "corrupt-cow" | "corrupt-map" ->
-           let rec attempt tries =
-             if tries > 0 then begin
-               let injected =
-                 List.exists
-                   (fun (p : Hive.Types.process) ->
-                     p.Hive.Types.proc_cell = victim
-                     && Hive.System.corrupt_address_map sys p
-                          Hive.System.Random_address rng)
-                   sys.Hive.Types.cells.(victim).Hive.Types.processes
-               in
-               if not injected then begin
-                 Sim.Engine.delay 20_000_000L;
-                 attempt (tries - 1)
-               end
-               else t_inject := Sim.Engine.time ()
-             end
-           in
-           attempt 100
-         | "link" ->
-           (* Degrade the interconnect into --node for --dur-ms: drops,
-              duplicates and delays per the given percentages. The kernels
-              must ride it out with retransmission and reply caching. *)
-           ignore
-             (Faultinj.Campaign.inject sys rng
-                (Faultinj.Campaign.Link_degrade
-                   {
-                     deg_from = link_from;
-                     deg_to = node;
-                     at_ns = Sim.Engine.time ();
-                     dur_ns = Int64.of_int (dur_ms * 1_000_000);
-                     drop_pct;
-                     dup_pct;
-                     delay_pct;
-                     max_delay_ns = 2_000_000L;
-                     salt = 0x51EED5A17L;
-                   }))
-         | other -> failwith ("unknown fault kind: " ^ other)));
-  let result, _ = Workloads.Pmake.run sys in
-  Printf.printf "pmake with %s fault: %.3f s simulated, %s\n" kind
-    (Workloads.Workload.ns_to_s result.Workloads.Workload.elapsed_ns)
-    (if result.Workloads.Workload.completed then "driver completed"
-     else "driver died");
-  (match Hive.System.detection_latency_ns sys ~t_fault:!t_inject with
-  | Some ns ->
-    Printf.printf "detection latency: %.1f ms\n" (Int64.to_float ns /. 1e6)
-  | None -> Printf.printf "no recovery round recorded\n");
-  (* Let the recovery master finish diagnostics and reintegration. *)
-  ignore
-    (Hive.System.run_until sys
-       ~deadline:(Int64.add (Sim.Engine.now eng) 2_000_000_000L)
-       (fun () -> not sys.Hive.Types.recovery_in_progress));
-  let sys_count name = Sim.Stats.value sys.Hive.Types.sys_counters name in
-  Printf.printf "recovery round restarts: %d\n"
-    (sys_count "recovery.round_restarts");
-  Printf.printf "cells reintegrated: %d\n" (sys_count "cell.reintegrations");
-  Printf.printf "live cells: [%s]\n"
-    (String.concat "; "
-       (List.map string_of_int (Hive.System.live_cells sys)));
-  if kind = "link" then begin
-    let per name =
-      Array.fold_left
-        (fun acc (c : Hive.Types.cell) ->
-          acc + Sim.Stats.value c.Hive.Types.counters name)
-        0 sys.Hive.Types.cells
+  if ncells < 1 || ncells > nodes || nodes mod ncells <> 0 then begin
+    Printf.eprintf "fault: %d cells must evenly divide %d nodes\n" ncells
+      nodes;
+    2
+  end
+  else begin
+    let at_ns = Int64.of_int (at_ms * 1_000_000) in
+    let mode = Hive.System.Random_address in
+    let faults =
+      match kind with
+      | "node" ->
+        Faultinj.Campaign.Node_failure { node; at_ns }
+        :: (match cascade_node with
+           | None -> []
+           | Some second ->
+             (* Fail a second node while the first failure's recovery
+                round is in flight (between the two global barriers). *)
+             [ Faultinj.Campaign.Node_failure_mid_recovery
+                 { node = second; at_ns } ])
+      | "corrupt-map" ->
+        [ Faultinj.Campaign.Corrupt_map { victim_cell = victim; at_ns; mode } ]
+      | "corrupt-cow" ->
+        [ Faultinj.Campaign.Corrupt_cow { victim_cell = victim; at_ns; mode } ]
+      | "link" ->
+        (* Degrade the interconnect into --node for --dur-ms: drops,
+           duplicates and delays per the given percentages. The kernels
+           must ride it out with retransmission and reply caching. *)
+        [ Faultinj.Campaign.Link_degrade
+            {
+              deg_from = link_from;
+              deg_to = node;
+              at_ns;
+              dur_ns = Int64.of_int (dur_ms * 1_000_000);
+              drop_pct;
+              dup_pct;
+              delay_pct;
+              max_delay_ns = 2_000_000L;
+              salt = 0x51EED5A17L;
+            } ]
+      | other -> failwith ("unknown fault kind: " ^ other)
     in
-    let sips = Flash.Machine.sips sys.Hive.Types.machine in
-    Printf.printf
-      "sips damage: %d dropped, %d duplicated, %d delayed (of %d sends)\n"
-      (Flash.Sips.drop_count sips)
-      (Flash.Sips.dup_count sips)
-      (Flash.Sips.delay_count sips)
-      (Flash.Sips.send_count sips);
-    Printf.printf
-      "rpc transport: %d retransmits, %d duplicates suppressed, %d stale \
-       drops, %d late replies\n"
-      (per "rpc.retransmits") (per "rpc.dup_suppressed")
-      (per "rpc.stale_reply_drops" + per "rpc.stale_request_drops")
-      (per "rpc.late_replies")
-  end;
-  let corrupt =
-    List.filter
-      (fun (_, v) -> v = Workloads.Workload.Corrupt)
-      (Workloads.Pmake.verify sys)
-  in
-  Printf.printf "corrupt outputs: %d (must be 0)\n" (List.length corrupt);
-  (* End-state structural check: containment means the survivors' kernel
-     state is consistent, not just that the build's outputs are. Give
-     in-flight batches a moment to drain so transient pins don't read as
-     leaks. *)
-  Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 1_000_000_000L) eng;
-  let violations = Hive.Invariants.check sys in
-  List.iter
-    (fun viol ->
-      Printf.printf "invariant violation: %s\n" (Hive.Invariants.to_string viol))
-    violations;
-  Printf.printf "invariants: %s\n"
-    (if violations = [] then "clean" else "VIOLATED");
-  finish_observability sys ~trace_close ~output;
-  if corrupt = [] && violations = [] then 0 else 1
+    let plan =
+      {
+        (Faultinj.Fuzz.paper_plan Faultinj.Fuzz.Pmake faults) with
+        Faultinj.Fuzz.ncells;
+        nodes_per_cell = nodes / ncells;
+        wax = false;
+        oracle;
+        smp = shape.sh_smp;
+        import_cache = not shape.sh_no_import_cache;
+      }
+    in
+    let r =
+      Faultinj.Fuzz.run_plan ?trace_out:output.out_trace
+        ?metrics_out:output.out_metrics plan
+    in
+    List.iter (Printf.printf "injected: %s\n") r.Faultinj.Fuzz.r_injected;
+    Printf.printf "pmake with %s fault: %s, run ended at %.3f s simulated\n"
+      kind
+      (if r.Faultinj.Fuzz.r_completed then "driver completed"
+       else "driver died")
+      (Int64.to_float r.Faultinj.Fuzz.r_sim_ns /. 1e9);
+    (match r.Faultinj.Fuzz.r_detect_ms with
+    | Some ms -> Printf.printf "detection latency: %.1f ms\n" ms
+    | None -> Printf.printf "no recovery round recorded\n");
+    Option.iter
+      (Printf.printf "recovery latency: %.1f ms\n")
+      r.Faultinj.Fuzz.r_recovery_ms;
+    let m = r.Faultinj.Fuzz.r_metrics in
+    let sys_count = Hive.Metrics.Snapshot.system_counter m in
+    Printf.printf "recovery round restarts: %d\n"
+      (sys_count "recovery.round_restarts");
+    Printf.printf "cells reintegrated: %d\n"
+      (sys_count "cell.reintegrations");
+    Printf.printf "live cells: [%s]\n"
+      (String.concat "; "
+         (List.map string_of_int r.Faultinj.Fuzz.r_survivors));
+    if kind = "link" then begin
+      let per name =
+        List.fold_left
+          (fun acc (c : Hive.Metrics.Snapshot.cell) ->
+            acc + Option.value ~default:0 (List.assoc_opt name c.counters))
+          0 m.Hive.Metrics.Snapshot.cells
+      in
+      let sips = m.Hive.Metrics.Snapshot.sips in
+      Printf.printf
+        "sips damage: %d dropped, %d duplicated, %d delayed (of %d sends)\n"
+        sips.drops sips.dups sips.delays sips.sends;
+      Printf.printf
+        "rpc transport: %d retransmits, %d duplicates suppressed, %d stale \
+         drops, %d late replies\n"
+        (per "rpc.retransmits") (per "rpc.dup_suppressed")
+        (per "rpc.stale_reply_drops" + per "rpc.stale_request_drops")
+        (per "rpc.late_replies")
+    end;
+    List.iter (Printf.printf "violation: %s\n")
+      r.Faultinj.Fuzz.r_violations;
+    Printf.printf "invariants: %s\n"
+      (if Faultinj.Fuzz.failed r then "VIOLATED" else "clean");
+    Hive.Metrics.print_summary m;
+    if Faultinj.Fuzz.failed r then 1 else 0
+  end
 
 (* ---- fuzz command ---- *)
 
 let run_fuzz seeds seed_base replay shrink_flag out demo_bug dup_bug
     split_brain jobs output =
+  with_outputs ~also:(Option.to_list out) output @@ fun () ->
   let out_chan = Option.map open_out out in
   let emit r =
     match out_chan with
@@ -614,7 +610,11 @@ let oracle_arg =
 let fault_cmd =
   Cmd.v
     (Cmd.info "fault"
-       ~doc:"Inject a fault during pmake and report containment.")
+       ~doc:
+         "Inject a fault during pmake and report containment. The run is \
+          one plan judged by the fuzzer's oracle (quiesce, a post-fault \
+          check run, RPC drain and the invariant sweep); the exit status \
+          is its verdict. --at-ms counts from the end of pmake setup.")
     Term.(
       const run_fault $ fault_kind $ shape_term $ node_arg $ victim_arg
       $ at_ms_arg $ cascade_node_arg $ oracle_arg $ link_from_arg

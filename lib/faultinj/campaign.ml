@@ -1,21 +1,10 @@
-(* Fault-injection campaigns (Section 7.4).
+(* Fault kinds and their injection (Section 7.4).
 
-   Each test boots a four-cell system, runs a workload, injects one fault
-   (a fail-stop node failure or a kernel data corruption), and then:
-
-   - measures the latency until the last cell enters recovery;
-   - checks that the fault's effects were contained: all other cells
-     survive;
-   - runs the pmake workload as a system correctness check (it forks
-     processes on all surviving cells);
-   - compares all output files of the workload run and the check run
-     against reference copies to detect data corruption (stale data after
-     a preemptive discard is data loss, not corruption).
-
-   The workload/timing combinations follow Table 7.4: node failure during
-   process creation (pmake), during copy-on-write search (raytrace), and
-   at random times (pmake); corrupt pointer in a process address map
-   (pmake) and in the copy-on-write tree (raytrace). *)
+   A fault is a fail-stop node failure, a kernel data corruption, or an
+   interconnect fault (a degraded link or a partition). [inject] plants one
+   into a running system; the experiment around it (boot, workload, the
+   correctness check and the invariant oracle) is [Fuzz.run_plan]. The
+   paper's Table 7.4 campaigns are fixed plan lists in [Bench.Sections]. *)
 
 type fault =
   | Node_failure of { node : int; at_ns : int64 }
@@ -39,19 +28,8 @@ type fault =
       one_way : bool; (* true: only traffic INTO the cell is lost *)
     }
   | Cpu_dead_mem_alive of { node : int; at_ns : int64 }
-
-type outcome = {
-  fault_desc : string;
-  injected_cell : int;
-  contained : bool;
-  detection_ms : float option;
-  recovery_ms : float option;
-  check_passed : bool;
-  corrupt_outputs : string list;
-  survivors : int list;
-}
-
-type workload_kind = Use_pmake | Use_raytrace
+  | Node_failure_mid_recovery of { node : int; at_ns : int64 }
+      (* fails [node] once a recovery round is past barrier 1 *)
 
 let pick_victim_process (sys : Hive.Types.system) ~cell_id =
   let c = sys.Hive.Types.cells.(cell_id) in
@@ -99,6 +77,33 @@ let pick_cow_node (sys : Hive.Types.system) ~cell_id =
     c.Hive.Types.processes;
   (match (!forked, !roots) with Some l, _ -> Some l | None, r -> r)
 
+(* Sever every directed link between [cell]'s nodes and the rest of the
+   machine over [from_ns, until_ns). Intra-cell links stay up: the cell
+   keeps running on its own side of the blackout. [one_way] models
+   asymmetric reachability: only traffic into the cell is lost, so its
+   own sends still arrive while every reply (and probe) back to it
+   vanishes. *)
+let sever_cell (sys : Hive.Types.system) ~cell ~from_ns ~until_ns ~one_way =
+  let sips = Flash.Machine.sips sys.Hive.Types.machine in
+  let outside =
+    Array.to_list sys.Hive.Types.cells
+    |> List.concat_map (fun (c : Hive.Types.cell) ->
+           if c.Hive.Types.cell_id = cell then [] else c.Hive.Types.cell_nodes)
+  in
+  List.iter
+    (fun inner ->
+      List.iter
+        (fun outer ->
+          Flash.Sips.partition sips
+            { Flash.Sips.part_from = outer; part_to = inner;
+              part_from_ns = from_ns; part_until_ns = until_ns };
+          if not one_way then
+            Flash.Sips.partition sips
+              { Flash.Sips.part_from = inner; part_to = outer;
+                part_from_ns = from_ns; part_until_ns = until_ns })
+        outside)
+    sys.Hive.Types.cells.(cell).Hive.Types.cell_nodes
+
 let inject (sys : Hive.Types.system) rng fault =
   match fault with
   | Node_failure { node; _ } ->
@@ -134,39 +139,34 @@ let inject (sys : Hive.Types.system) rng fault =
          (Hive.Types.cell_of_node sys deg_to).Hive.Types.cell_id
        else 0)
   | Partition { part_cell; dur_ns; one_way; _ } ->
-    (* Sever every directed link between the cell's nodes and the rest of
-       the machine. Intra-cell links stay up: the cell keeps running on
-       its own side of the blackout. [one_way] models asymmetric
-       reachability: only traffic into the cell is lost, so its own sends
-       still arrive while every reply (and probe) back to it vanishes. *)
-    let sips = Flash.Machine.sips sys.Hive.Types.machine in
     let now = Sim.Engine.now sys.Hive.Types.eng in
-    let until = Int64.add now dur_ns in
-    let inside =
-      sys.Hive.Types.cells.(part_cell).Hive.Types.cell_nodes
-    in
-    let outside =
-      Array.to_list sys.Hive.Types.cells
-      |> List.concat_map (fun (c : Hive.Types.cell) ->
-             if c.Hive.Types.cell_id = part_cell then []
-             else c.Hive.Types.cell_nodes)
-    in
-    List.iter
-      (fun inner ->
-        List.iter
-          (fun outer ->
-            Flash.Sips.partition sips
-              { Flash.Sips.part_from = outer; part_to = inner;
-                part_from_ns = now; part_until_ns = until };
-            if not one_way then
-              Flash.Sips.partition sips
-                { Flash.Sips.part_from = inner; part_to = outer;
-                  part_from_ns = now; part_until_ns = until })
-          outside)
-      inside;
+    sever_cell sys ~cell:part_cell ~from_ns:now ~until_ns:(Int64.add now dur_ns)
+      ~one_way;
     Some part_cell
   | Cpu_dead_mem_alive { node; _ } ->
     Hive.System.inject_cpu_failure sys node;
+    Some (Hive.Types.cell_of_node sys node).Hive.Types.cell_id
+  | Node_failure_mid_recovery { node; _ } ->
+    (* Poll (0.1 ms steps, 1 s at most) until a round is past barrier 1
+       (the window stays open through barrier 2 and the master's
+       diagnostics), then fail the node mid-round: the survivors must
+       abort the round and restart it with the enlarged dead set. *)
+    let since = Sim.Engine.time () in
+    let past_barrier1 () =
+      sys.Hive.Types.recovery_round_active
+      && List.exists
+           (fun (phase, t) ->
+             phase = "recovery.barrier1" && Int64.compare t since >= 0)
+           sys.Hive.Types.recovery_timeline
+    in
+    let rec poll tries =
+      if tries > 0 && not (past_barrier1 ()) then begin
+        Sim.Engine.delay 100_000L;
+        poll (tries - 1)
+      end
+    in
+    poll 10_000;
+    Hive.System.inject_node_failure sys node;
     Some (Hive.Types.cell_of_node sys node).Hive.Types.cell_id
 
 (* Whether the fault destroys or corrupts kernel state on the victim cell
@@ -178,7 +178,7 @@ let inject (sys : Hive.Types.system) rng fault =
 let corrupts_cell = function
   | Node_failure _ | Corrupt_map _ | Corrupt_cow _ -> true
   | Link_degrade _ -> false
-  | Partition _ | Cpu_dead_mem_alive _ -> true
+  | Partition _ | Cpu_dead_mem_alive _ | Node_failure_mid_recovery _ -> true
 
 let fault_time = function
   | Node_failure { at_ns; _ } -> at_ns
@@ -187,6 +187,7 @@ let fault_time = function
   | Link_degrade { at_ns; _ } -> at_ns
   | Partition { at_ns; _ } -> at_ns
   | Cpu_dead_mem_alive { at_ns; _ } -> at_ns
+  | Node_failure_mid_recovery { at_ns; _ } -> at_ns
 
 let describe = function
   | Node_failure { node; _ } -> Printf.sprintf "node %d fail-stop" node
@@ -208,213 +209,12 @@ let describe = function
       (if one_way then "inbound only" else "both ways")
   | Cpu_dead_mem_alive { node; _ } ->
     Printf.sprintf "node %d CPU dead, memory alive" node
-
-(* Run one fault-injection test. *)
-let run_test ?(seed = 1) ~workload fault =
-  let rng = Sim.Prng.create seed in
-  let eng = Sim.Engine.create () in
-  let sys = Hive.System.boot ~ncells:4 ~wax:true eng in
-  Workloads.Pmake.setup sys Workloads.Pmake.default;
-  (match workload with
-  | Use_pmake -> ()
-  | Use_raytrace -> ());
-  (* Injection happens from a detached thread at the requested time. *)
-  let injected = ref None in
-  let t_inject = ref 0L in
-  ignore
-    (Sim.Engine.spawn eng ~name:"injector" (fun () ->
-         Sim.Engine.delay (fault_time fault);
-         (* Retry until a suitable victim exists (e.g. a process with an
-            anonymous region for corruption faults). *)
-         let rec attempt tries =
-           if tries = 0 then ()
-           else
-             match inject sys rng fault with
-             | Some cell ->
-               t_inject := Sim.Engine.time ();
-               injected := Some cell
-             | None ->
-               Sim.Engine.delay 20_000_000L;
-               attempt (tries - 1)
-         in
-         attempt 200));
-  (* Run the workload. *)
-  let result, _p =
-    match workload with
-    | Use_pmake -> Workloads.Pmake.run sys
-    | Use_raytrace ->
-      let r, p = Workloads.Raytrace.run sys in
-      (r, p)
-  in
-  ignore result;
-  (* Let detection/recovery finish. *)
-  ignore
-    (Hive.System.run_until sys
-       ~deadline:(Int64.add (Sim.Engine.now eng) 3_000_000_000L)
-       (fun () ->
-         (not sys.Hive.Types.recovery_in_progress)
-         && (sys.Hive.Types.recovery_events <> [] || !injected = None)));
-  let injected_cell = match !injected with Some c -> c | None -> -1 in
-  let detection_ms =
-    match Hive.System.detection_latency_ns sys ~t_fault:!t_inject with
-    | Some ns when !injected <> None -> Some (Int64.to_float ns /. 1e6)
-    | _ -> None
-  in
-  let recovery_ms =
-    if
-      sys.Hive.Types.recovery_events <> []
-      && Int64.compare sys.Hive.Types.recovery_complete_at !t_inject > 0
-    then
-      let first_entry =
-        List.fold_left
-          (fun acc (_, t) -> min acc t)
-          Int64.max_int sys.Hive.Types.recovery_events
-      in
-      Some
-        (Int64.to_float
-           (Int64.sub sys.Hive.Types.recovery_complete_at first_entry)
-        /. 1e6)
-    else None
-  in
-  let survivors = Hive.System.live_cells sys in
-  (* Containment: every cell except the injected one survived. *)
-  let contained =
-    Array.for_all
-      (fun (c : Hive.Types.cell) ->
-        c.Hive.Types.cell_id = injected_cell
-        || Hive.Types.cell_alive c)
-      sys.Hive.Types.cells
-  in
-  (* Correctness check: run pmake across the surviving cells and verify
-     its outputs against references. *)
-  let check_result, _ = Workloads.Pmake.run sys in
-  let verify = Workloads.Pmake.verify sys in
-  let corrupt_outputs =
-    List.filter_map
-      (fun (path, v) ->
-        if v = Workloads.Workload.Corrupt then Some path else None)
-      verify
-  in
-  (* Workload-specific outputs from the faulted run are also checked for
-     corruption (loss is acceptable). *)
-  let extra_corrupt =
-    match workload with
-    | Use_pmake -> []
-    | Use_raytrace ->
-      List.filter_map
-        (fun (path, v) ->
-          if v = Workloads.Workload.Corrupt then Some path else None)
-        (Workloads.Raytrace.verify sys)
-  in
-  {
-    fault_desc = describe fault;
-    injected_cell;
-    contained;
-    detection_ms;
-    recovery_ms;
-    check_passed = check_result.Workloads.Workload.completed;
-    corrupt_outputs = corrupt_outputs @ extra_corrupt;
-    survivors;
-  }
-
-let passed o =
-  o.contained && o.check_passed && o.corrupt_outputs = []
-  && o.injected_cell >= 0
-
-(* ---------- The Table 7.4 campaigns ---------- *)
-
-type campaign_row = {
-  label : string;
-  tests : int;
-  all_contained : bool;
-  avg_detect_ms : float;
-  max_detect_ms : float;
-  avg_recovery_ms : float;
-  failures : string list;
-}
-
-let summarize label outcomes =
-  let det = List.filter_map (fun o -> o.detection_ms) outcomes in
-  let rec_ = List.filter_map (fun o -> o.recovery_ms) outcomes in
-  let avg xs =
-    if xs = [] then 0. else List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-  in
-  {
-    label;
-    tests = List.length outcomes;
-    all_contained = List.for_all passed outcomes;
-    avg_detect_ms = avg det;
-    max_detect_ms = List.fold_left max 0. det;
-    avg_recovery_ms = avg rec_;
-    failures =
-      List.concat_map
-        (fun o ->
-          if passed o then []
-          else
-            [ Printf.sprintf "%s: contained=%b check=%b corrupt=[%s] injected=%d"
-                o.fault_desc o.contained o.check_passed
-                (String.concat ";" o.corrupt_outputs)
-                o.injected_cell ])
-        outcomes;
-  }
+  | Node_failure_mid_recovery { node; _ } ->
+    Printf.sprintf "node %d fail-stop mid-recovery" node
 
 let modes =
   [| Hive.System.Random_address; Hive.System.Off_by_one_word;
      Hive.System.Self_pointer |]
-
-(* Node failure during process creation (pmake): inject early, while the
-   driver is forking compile jobs. *)
-let node_failure_during_creation ~tests =
-  List.init tests (fun i ->
-      run_test ~seed:(100 + i) ~workload:Use_pmake
-        (Node_failure
-           { node = 1 + (i mod 3); at_ns = Int64.of_int (40_000_000 * (i + 2)) }))
-  |> summarize "node failure during process creation (pmake)"
-
-(* Node failure during COW search (raytrace): inject while workers fault
-   scene pages through the tree. *)
-let node_failure_during_cow ~tests =
-  List.init tests (fun i ->
-      run_test ~seed:(200 + i) ~workload:Use_raytrace
-        (Node_failure
-           { node = 1 + (i mod 3); at_ns = Int64.of_int (15_000_000 * (i + 1)) }))
-  |> summarize "node failure during copy-on-write search (raytrace)"
-
-(* Node failure at a random time during pmake. *)
-let node_failure_random ~tests =
-  let rng = Sim.Prng.create 42 in
-  List.init tests (fun i ->
-      let at = 50_000_000 + Sim.Prng.int rng 4_000_000_000 in
-      run_test ~seed:(300 + i) ~workload:Use_pmake
-        (Node_failure { node = 1 + (i mod 3); at_ns = Int64.of_int at }))
-  |> summarize "node failure at random time (pmake)"
-
-(* Corrupt pointer in a process address map (pmake). *)
-let corrupt_map_campaign ~tests =
-  List.init tests (fun i ->
-      run_test ~seed:(400 + i) ~workload:Use_pmake
-        (Corrupt_map
-           {
-             victim_cell = 1 + (i mod 3);
-             at_ns = Int64.of_int (120_000_000 * (i + 1));
-             mode = modes.(i mod Array.length modes);
-           }))
-  |> summarize "corrupt pointer in process address map (pmake)"
-
-(* Corrupt pointer in the COW tree (raytrace): injected mid-run, so the
-   corruption lies dormant until a later copy-on-write search trips it —
-   which is why the paper's detection latencies for this campaign are an
-   order of magnitude above the clock-monitoring bound. *)
-let corrupt_cow_campaign ~tests =
-  List.init tests (fun i ->
-      run_test ~seed:(500 + i) ~workload:Use_raytrace
-        (Corrupt_cow
-           {
-             victim_cell = 1 + (i mod 3);
-             at_ns = Int64.of_int (300_000_000 + (180_000_000 * i));
-             mode = modes.(i mod Array.length modes);
-           }))
-  |> summarize "corrupt pointer in copy-on-write tree (raytrace)"
 
 (* ---------- Parallel campaign driver ---------- *)
 
@@ -488,152 +288,3 @@ let run_parallel (type r) ~jobs ~(seeds : int64 array) ~(run : int64 -> r)
        raise e);
     List.iter Domain.join domains
   end
-
-(* ---------- Cascading (nested) failures ---------- *)
-
-type cascade_outcome = {
-  c_first_node : int;
-  c_second_node : int;
-  c_deadlocked : bool;  (* recovery never completed before the deadline *)
-  c_restarted : bool;   (* the round restarted with the enlarged dead set *)
-  c_contained : bool;   (* every non-victim cell survived the episode *)
-  c_reintegrated : bool;
-      (* both victims rebooted by the master and back in all live sets *)
-  c_check_passed : bool;  (* pmake across the restored system verifies *)
-  c_detection_ms : float option;
-}
-
-(* Kill a second node while the first failure's recovery round is in
-   flight (between barrier 1 and barrier 2): the acid test for the
-   abortable-barrier / round-restart machinery. The survivors must abort
-   the round, restart it with the enlarged dead set, finish, and the
-   recovery master must then repair and reintegrate both victims. *)
-let run_cascade_test ?(seed = 1) ~first_node ~second_node ~at_ns () =
-  ignore seed;
-  let eng = Sim.Engine.create () in
-  let sys = Hive.System.boot ~ncells:4 ~wax:true eng in
-  Workloads.Pmake.setup sys Workloads.Pmake.default;
-  let t_first = ref 0L in
-  ignore
-    (Sim.Engine.spawn eng ~name:"cascade-injector" (fun () ->
-         Sim.Engine.delay at_ns;
-         t_first := Sim.Engine.time ();
-         Hive.System.inject_node_failure sys first_node;
-         (* Poll until the round is past barrier 1 (the window stays open
-            through barrier 2 and the master's diagnostics), then fail the
-            second node mid-round. *)
-         let past_barrier1 () =
-           sys.Hive.Types.recovery_round_active
-           && List.exists
-                (fun (phase, t) ->
-                  phase = "recovery.barrier1"
-                  && Int64.compare t !t_first >= 0)
-                sys.Hive.Types.recovery_timeline
-         in
-         let rec poll tries =
-           if tries > 0 && not (past_barrier1 ()) then begin
-             Sim.Engine.delay 100_000L;
-             poll (tries - 1)
-           end
-         in
-         poll 10_000;
-         Hive.System.inject_node_failure sys second_node));
-  let result, _ = Workloads.Pmake.run sys in
-  ignore result;
-  let recovery_done =
-    Hive.System.run_until sys
-      ~deadline:(Int64.add (Sim.Engine.now eng) 5_000_000_000L)
-      (fun () ->
-        (not sys.Hive.Types.recovery_in_progress)
-        && sys.Hive.Types.recovery_events <> [])
-  in
-  let first_cell =
-    (Hive.Types.cell_of_node sys first_node).Hive.Types.cell_id
-  in
-  let second_cell =
-    (Hive.Types.cell_of_node sys second_node).Hive.Types.cell_id
-  in
-  let contained =
-    Array.for_all
-      (fun (c : Hive.Types.cell) ->
-        c.Hive.Types.cell_id = first_cell
-        || c.Hive.Types.cell_id = second_cell
-        || Hive.Types.cell_alive c)
-      sys.Hive.Types.cells
-  in
-  let both_back =
-    Hive.System.run_until sys
-      ~deadline:(Int64.add (Sim.Engine.now eng) 3_000_000_000L)
-      (fun () ->
-        Hive.Types.cell_alive sys.Hive.Types.cells.(first_cell)
-        && Hive.Types.cell_alive sys.Hive.Types.cells.(second_cell))
-  in
-  let reintegrated =
-    both_back
-    && Sim.Stats.value sys.Hive.Types.sys_counters "cell.reintegrations" >= 2
-    && Array.for_all
-         (fun (c : Hive.Types.cell) ->
-           (not (Hive.Types.cell_alive c))
-           || List.mem first_cell c.Hive.Types.live_set
-              && List.mem second_cell c.Hive.Types.live_set)
-         sys.Hive.Types.cells
-  in
-  let check_result, _ = Workloads.Pmake.run sys in
-  let verify_ok =
-    List.for_all
-      (fun (_, v) -> v <> Workloads.Workload.Corrupt)
-      (Workloads.Pmake.verify sys)
-  in
-  {
-    c_first_node = first_node;
-    c_second_node = second_node;
-    c_deadlocked = not recovery_done;
-    c_restarted =
-      Sim.Stats.value sys.Hive.Types.sys_counters "recovery.round_restarts"
-      >= 1;
-    c_contained = contained;
-    c_reintegrated = reintegrated;
-    c_check_passed = check_result.Workloads.Workload.completed && verify_ok;
-    c_detection_ms =
-      (match Hive.System.detection_latency_ns sys ~t_fault:!t_first with
-      | Some ns -> Some (Int64.to_float ns /. 1e6)
-      | None -> None);
-  }
-
-let cascade_passed o =
-  (not o.c_deadlocked) && o.c_restarted && o.c_contained && o.c_reintegrated
-  && o.c_check_passed
-
-let cascade_campaign ~tests =
-  let outcomes =
-    List.init tests (fun i ->
-        run_cascade_test ~seed:(600 + i)
-          ~first_node:(1 + (i mod 3))
-          ~second_node:(1 + ((i + 1) mod 3))
-          ~at_ns:(Int64.of_int (60_000_000 * (i + 1)))
-          ())
-  in
-  let det = List.filter_map (fun o -> o.c_detection_ms) outcomes in
-  let avg xs =
-    if xs = [] then 0.
-    else List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-  in
-  {
-    label = "second node failure during recovery (pmake)";
-    tests = List.length outcomes;
-    all_contained = List.for_all cascade_passed outcomes;
-    avg_detect_ms = avg det;
-    max_detect_ms = List.fold_left max 0. det;
-    avg_recovery_ms = 0.;
-    failures =
-      List.concat_map
-        (fun o ->
-          if cascade_passed o then []
-          else
-            [ Printf.sprintf
-                "nodes %d+%d: deadlock=%b restarted=%b contained=%b \
-                 reintegrated=%b check=%b"
-                o.c_first_node o.c_second_node o.c_deadlocked o.c_restarted
-                o.c_contained o.c_reintegrated o.c_check_passed ])
-        outcomes;
-  }

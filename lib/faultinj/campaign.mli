@@ -1,21 +1,10 @@
-(** Fault-injection campaigns (Section 7.4).
+(** Fault kinds and their injection (Section 7.4).
 
-   Each test boots a four-cell system, runs a workload, injects one fault
-   (a fail-stop node failure or a kernel data corruption), and then:
-
-   - measures the latency until the last cell enters recovery;
-   - checks that the fault's effects were contained: all other cells
-     survive;
-   - runs the pmake workload as a system correctness check (it forks
-     processes on all surviving cells);
-   - compares all output files of the workload run and the check run
-     against reference copies to detect data corruption (stale data after
-     a preemptive discard is data loss, not corruption).
-
-   The workload/timing combinations follow Table 7.4: node failure during
-   process creation (pmake), during copy-on-write search (raytrace), and
-   at random times (pmake); corrupt pointer in a process address map
-   (pmake) and in the copy-on-write tree (raytrace). *)
+    A fault is a fail-stop node failure, a kernel data corruption, or an
+    interconnect fault (a degraded link or a partition). The experiment
+    around an injection — boot, workload, the post-fault correctness check
+    and the invariant oracle — is [Fuzz.run_plan]; the paper's Table 7.4
+    campaigns are fixed plan lists run through it. *)
 
 type fault =
     Node_failure of { node : int; at_ns : int64; }
@@ -43,22 +32,21 @@ type fault =
       one_way : bool; (* true: only traffic INTO the cell is lost *)
     }
   | Cpu_dead_mem_alive of { node : int; at_ns : int64 }
-type outcome = {
-  fault_desc : string;
-  injected_cell : int;
-  contained : bool;
-  detection_ms : float option;
-  recovery_ms : float option;
-  check_passed : bool;
-  corrupt_outputs : string list;
-  survivors : int list;
-}
-type workload_kind = Use_pmake | Use_raytrace
-val pick_victim_process :
-  Hive.Types.system -> cell_id:int -> Hive.Types.process option
-val pick_cow_node :
+  | Node_failure_mid_recovery of { node : int; at_ns : int64 }
+      (** From [at_ns], waits until a recovery round is past barrier 1
+          and then fails [node] mid-round (a cascading failure). *)
+
+(** Cut [cell] off from the rest of the machine over [from_ns, until_ns);
+    with [one_way] only traffic into the cell is lost. *)
+val sever_cell :
   Hive.Types.system ->
-  cell_id:Hive.Types.cell_id -> Hive.Types.cow_ref option
+  cell:Hive.Types.cell_id -> from_ns:int64 -> until_ns:int64 -> one_way:bool ->
+  unit
+
+(** Plant [fault] now; returns the victim cell, or [None] when no victim
+    exists yet (corruptions need a running process) so the caller may
+    retry. Must run in a simulation thread: [Node_failure_mid_recovery]
+    waits for its window. *)
 val inject :
   Hive.Types.system -> Sim.Prng.t -> fault -> Hive.Types.cell_id option
 
@@ -71,24 +59,10 @@ val corrupts_cell : fault -> bool
 
 val fault_time : fault -> int64
 val describe : fault -> string
-val run_test : ?seed:int -> workload:workload_kind -> fault -> outcome
-val passed : outcome -> bool
-type campaign_row = {
-  label : string;
-  tests : int;
-  all_contained : bool;
-  avg_detect_ms : float;
-  max_detect_ms : float;
-  avg_recovery_ms : float;
-  failures : string list;
-}
-val summarize : string -> outcome list -> campaign_row
+
+(** The three corruption modes, cycled by the Table 7.4 campaigns and
+    drawn by the fuzzer. *)
 val modes : Hive.System.corruption_mode array
-val node_failure_during_creation : tests:int -> campaign_row
-val node_failure_during_cow : tests:int -> campaign_row
-val node_failure_random : tests:int -> campaign_row
-val corrupt_map_campaign : tests:int -> campaign_row
-val corrupt_cow_campaign : tests:int -> campaign_row
 
 (** [run_parallel ~jobs ~seeds ~run ~on_record] shards [seeds] across
     [jobs] OCaml 5 domains with work stealing. Each worker executes
@@ -106,29 +80,3 @@ val run_parallel :
   run:(int64 -> 'r) ->
   on_record:(int64 -> 'r -> unit) ->
   unit
-
-(** Cascading (nested) failures: a second node killed while the first
-    failure's recovery round is in flight, between the two global
-    barriers. Exercises the abortable-barrier / round-restart machinery
-    and the master's automatic reintegration of both victims. *)
-
-type cascade_outcome = {
-  c_first_node : int;
-  c_second_node : int;
-  c_deadlocked : bool;
-  c_restarted : bool;
-  c_contained : bool;
-  c_reintegrated : bool;
-  c_check_passed : bool;
-  c_detection_ms : float option;
-}
-
-val run_cascade_test :
-  ?seed:int ->
-  first_node:int -> second_node:int -> at_ns:int64 -> unit -> cascade_outcome
-
-(** No deadlock, the round restarted, the fault stayed contained, both
-    victims were reintegrated, and the post-episode pmake check passed. *)
-val cascade_passed : cascade_outcome -> bool
-
-val cascade_campaign : tests:int -> campaign_row

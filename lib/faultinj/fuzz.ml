@@ -1,7 +1,12 @@
-(* Deterministic simulation fuzzer.
+(* Deterministic simulation fuzzer, and the one fault-experiment runner.
 
-   One 64-bit seed derives everything about a run: the machine shape, the
-   workload and its scaled-down configuration, the scheduler-jitter
+   A plan is a complete experiment: machine shape, workload, fault
+   schedule. [run_plan] boots it, runs it and judges it with the full
+   oracle; the fuzzer, the paper's Table 7.4 campaigns and
+   [hive_sim fault] differ only in the plans they build.
+
+   One 64-bit seed derives everything about a fuzz run: the machine shape,
+   the workload and its scaled-down configuration, the scheduler-jitter
    stream, and a randomized fault schedule. The engine itself is
    deterministic, so the seed is the complete reproducer: replaying it
    gives the same virtual-time history bit for bit, and a failing seed can
@@ -19,6 +24,8 @@ type traffic = {
   t_deadline_ms : int; (* end-to-end client budget *)
 }
 
+type sizing = Seeded | Paper
+
 type plan = {
   seed : int64;
   ncells : int;
@@ -30,6 +37,11 @@ type plan = {
   traffic : traffic option;
       (* when set, interactive server traffic replaces the batch workload;
          the fault schedule above still applies mid-traffic *)
+  sizing : sizing;
+  wax : bool;
+  oracle : bool;
+  smp : bool;
+  import_cache : bool;
 }
 
 type record = {
@@ -42,6 +54,10 @@ type record = {
   r_sim_ns : int64;
   r_events : int;
       (* events the engine scheduled: deterministic work measure *)
+  r_detect_ms : float option;
+  r_recovery_ms : float option;
+  r_contained : bool;
+  r_metrics : Hive.Metrics.Snapshot.t;
 }
 
 let jitter_salt = 0x94D049BB133111EBL
@@ -214,10 +230,27 @@ let plan_of_seed seed =
     else None
   in
   { seed; ncells; nodes_per_cell; mem_pages_per_node; workload; jitter;
-    faults; traffic }
+    faults; traffic; sizing = Seeded; wax = true; oracle = false;
+    smp = false; import_cache = true }
+
+let paper_plan ?(seed = 1L) workload faults =
+  { seed; ncells = 4; nodes_per_cell = 1;
+    mem_pages_per_node = Flash.Config.default.Flash.Config.mem_pages_per_node;
+    workload; jitter = false; faults; traffic = None; sizing = Paper;
+    wax = true; oracle = false; smp = false; import_cache = true }
 
 let describe_plan p =
-  Printf.sprintf "seed=0x%Lx cells=%dx%d mem=%d wl=%s jitter=%s faults=[%s]%s"
+  (* Only settings that differ from a fuzz plan's are named, so fuzz plan
+     summaries (and the JSONL built from them) stay as they were. *)
+  let extras =
+    List.filter_map
+      (fun (on, name) -> if on then Some name else None)
+      [ (p.sizing = Paper, "paper-size"); (not p.wax, "no-wax");
+        (p.oracle, "oracle"); (p.smp, "smp");
+        (not p.import_cache, "no-import-cache") ]
+  in
+  Printf.sprintf
+    "seed=0x%Lx cells=%dx%d mem=%d wl=%s jitter=%s faults=[%s]%s%s"
     p.seed p.ncells p.nodes_per_cell p.mem_pages_per_node
     (workload_name p.workload)
     (if p.jitter then "on" else "off")
@@ -227,12 +260,13 @@ let describe_plan p =
     | Some t ->
       Printf.sprintf " traffic=[rate=%d zipf=%d%% churn=%d%% deadline=%dms]"
         t.t_rate t.t_zipf_pct t.t_churn_pct t.t_deadline_ms)
+    (if extras = [] then "" else " " ^ String.concat " " extras)
 
-(* Workload configurations are scaled down from the paper's Table 7.1
-   sizes so a single fuzz run takes a fraction of a second of wall time.
-   Derived from a salted stream independent of the fault draws, and from
-   the plan's fixed shape only, so shrinking a plan never changes the
-   workload. *)
+(* Seeded workload configurations are scaled down from the paper's
+   Table 7.1 sizes so a single fuzz run takes a fraction of a second of
+   wall time. Derived from a salted stream independent of the fault draws,
+   and from the plan's fixed shape only, so shrinking a plan never changes
+   the workload. Paper-size plans run the Table 7.1 defaults. *)
 
 type wcfg =
   | Cfg_pmake of Workloads.Pmake.cfg
@@ -260,6 +294,11 @@ let cfg_of_plan p =
         fault = None;
         seed = p.seed;
       }
+  | None when p.sizing = Paper -> (
+    match p.workload with
+    | Pmake -> Cfg_pmake Workloads.Pmake.default
+    | Ocean -> Cfg_ocean Workloads.Ocean.default
+    | Raytrace -> Cfg_raytrace Workloads.Raytrace.default)
   | None -> (
     match p.workload with
   | Pmake ->
@@ -351,6 +390,7 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
       Flash.Config.default with
       Flash.Config.nodes;
       mem_pages_per_node = plan.mem_pages_per_node;
+      firewall_enabled = not plan.smp;
     }
   in
   (* Planted transport bug (part 1): boot the system with the servers'
@@ -360,15 +400,20 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
      confirmation rule. *)
   let params =
     let p =
-      if dup_bug then
-        { Hive.Params.default with Hive.Params.rpc_dup_suppression = false }
-      else Hive.Params.default
+      if plan.import_cache then Hive.Params.default
+      else Hive.Params.legacy_sharing Hive.Params.default
+    in
+    let p =
+      if dup_bug then { p with Hive.Params.rpc_dup_suppression = false } else p
     in
     if split_brain then
       { p with Hive.Params.agreement_quorum_check = false }
     else p
   in
-  let sys = Hive.System.boot ~mcfg ~params ~ncells:plan.ncells ~wax:true eng in
+  let sys =
+    Hive.System.boot ~mcfg ~params ~ncells:plan.ncells
+      ~multicellular:(not plan.smp) ~oracle:plan.oracle ~wax:plan.wax eng
+  in
   let close_trace =
     match trace_out with
     | None -> fun () -> ()
@@ -407,30 +452,13 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
      rule (see boot params) each side of the blackout confirms the other
      dead and elects its own recovery master; the continuously-latched
      single-master oracle must catch the overlap. *)
-  if split_brain then begin
-    let sips = Flash.Machine.sips sys.Hive.Types.machine in
-    let inside = sys.Hive.Types.cells.(0).Hive.Types.cell_nodes in
-    let outside =
-      Array.to_list sys.Hive.Types.cells
-      |> List.concat_map (fun (c : Hive.Types.cell) ->
-             if c.Hive.Types.cell_id = 0 then []
-             else c.Hive.Types.cell_nodes)
-    in
-    List.iter
-      (fun inner ->
-        List.iter
-          (fun outer ->
-            Flash.Sips.partition sips
-              { Flash.Sips.part_from = outer; part_to = inner;
-                part_from_ns = 400_000_000L; part_until_ns = Int64.max_int };
-            Flash.Sips.partition sips
-              { Flash.Sips.part_from = inner; part_to = outer;
-                part_from_ns = 400_000_000L; part_until_ns = Int64.max_int })
-          outside)
-      inside
-  end;
+  if split_brain then
+    Campaign.sever_cell sys ~cell:0 ~from_ns:400_000_000L
+      ~until_ns:Int64.max_int ~one_way:false;
   let cfg = cfg_of_plan plan in
   let injected = ref [] and exempt = ref [] in
+  let t_first = ref None in
+  let detect_ms = ref None and recovery_ms = ref None in
   let violations = ref [] in
   let vio inv detail =
     violations := Printf.sprintf "%s: %s" inv detail :: !violations
@@ -438,11 +466,14 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
   let completed = ref false in
   (try
      setup_workload sys cfg;
+     (* Fuzz fault times are absolute; a paper-size plan's count from the
+        end of workload setup, as in the paper's campaigns. *)
+     let origin = if plan.sizing = Paper then Hive.System.now eng else 0L in
      ignore
        (Sim.Engine.spawn eng ~name:"fuzz.injector" (fun () ->
             List.iter
               (fun f ->
-                let at = Campaign.fault_time f in
+                let at = Int64.add origin (Campaign.fault_time f) in
                 let now = Sim.Engine.time () in
                 if Int64.compare at now > 0 then
                   Sim.Engine.delay (Int64.sub at now);
@@ -451,6 +482,8 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
                 let rec attempt tries =
                   match Campaign.inject sys inject_rng f with
                   | Some cell ->
+                    if !t_first = None then
+                      t_first := Some (Sim.Engine.time ());
                     injected :=
                       Printf.sprintf "%s -> cell %d" (fault_desc f) cell
                       :: !injected;
@@ -477,7 +510,7 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
          (fun acc f -> max acc (Campaign.fault_time f))
          0L plan.faults
      in
-     let horizon = Int64.add last_fault 1_200_000_000L in
+     let horizon = Int64.add origin (Int64.add last_fault 1_200_000_000L) in
      if Int64.compare (Hive.System.now eng) horizon < 0 then
        ignore (Hive.System.run_until sys ~deadline:horizon (fun () -> false));
      let quiesced () =
@@ -493,6 +526,23 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
        then vio "quiesce" (what ^ ": recovery/reintegration did not settle")
      in
      wait_quiesce "post-fault";
+     (* Table 7.4's latencies, taken before the check run can start
+        another round: detection is from the first landed fault until the
+        last cell entered recovery; recovery is from the first cell
+        entering recovery until the last round completed. *)
+     Option.iter
+       (fun t0 ->
+         let ms ns = Int64.to_float ns /. 1e6 in
+         detect_ms :=
+           Option.map ms (Hive.System.detection_latency_ns sys ~t_fault:t0);
+         let evs = sys.Hive.Types.recovery_events in
+         let done_at = sys.Hive.Types.recovery_complete_at in
+         if evs <> [] && Int64.compare done_at t0 > 0 then
+           let first =
+             List.fold_left (fun a (_, t) -> min a t) Int64.max_int evs
+           in
+           recovery_ms := Some (ms (Int64.sub done_at first)))
+       !t_first;
      (* Workload outputs must be complete and exact on a fault-free run.
         On a faulted run the application itself is not fault-tolerant —
         a killed worker or a corrupted victim process feeds garbage into
@@ -566,34 +616,35 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
     r_survivors = Hive.System.live_cells sys;
     r_sim_ns = Hive.System.now eng;
     r_events = Sim.Engine.events_scheduled eng;
+    r_detect_ms = !detect_ms;
+    r_recovery_ms = !recovery_ms;
+    (* Contained: every cell that went down (or was rebooted) is the
+       victim of a fault that landed on it. *)
+    r_contained =
+      Array.for_all
+        (fun (c : Hive.Types.cell) ->
+          List.mem c.Hive.Types.cell_id !exempt
+          || (Hive.Types.cell_alive c && c.Hive.Types.incarnation = 0))
+        sys.Hive.Types.cells;
+    r_metrics = Hive.Metrics.capture sys;
   }
 
 let failed r = r.r_violations <> []
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_strings xs =
-  String.concat "," (List.map (fun s -> "\"" ^ json_escape s ^ "\"") xs)
-
 let record_to_json r =
-  Printf.sprintf
-    {|{"seed":"0x%Lx","plan":"%s","injected":[%s],"completed":%b,"violations":[%s],"survivors":[%s],"sim_ns":%Ld,"events":%d}|}
-    r.r_seed (json_escape r.r_plan) (json_strings r.r_injected) r.r_completed
-    (json_strings r.r_violations)
-    (String.concat "," (List.map string_of_int r.r_survivors))
-    r.r_sim_ns r.r_events
+  let strs xs = Sim.Json.Arr (List.map (fun x -> Sim.Json.Str x) xs) in
+  Sim.Json.to_string
+    (Sim.Json.Obj
+       [ ("seed", Str (Printf.sprintf "0x%Lx" r.r_seed));
+         ("plan", Str r.r_plan);
+         ("injected", strs r.r_injected);
+         ("completed", Bool r.r_completed);
+         ("violations", strs r.r_violations);
+         ("survivors",
+           Arr
+             (List.map (fun c -> Sim.Json.Int (Int64.of_int c)) r.r_survivors));
+         ("sim_ns", Int r.r_sim_ns);
+         ("events", Int (Int64.of_int r.r_events)) ])
 
 (* Shrinking: greedily apply the first simplification that still fails —
    dropping a fault, disabling jitter, rounding fault times to a coarse
@@ -617,6 +668,9 @@ let round_fault grain = function
     Campaign.Partition { f with at_ns = round_to grain f.at_ns }
   | Campaign.Cpu_dead_mem_alive f ->
     Campaign.Cpu_dead_mem_alive { f with at_ns = round_to grain f.at_ns }
+  | Campaign.Node_failure_mid_recovery f ->
+    Campaign.Node_failure_mid_recovery
+      { f with at_ns = round_to grain f.at_ns }
 
 let shrink ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false) plan
     =

@@ -1,4 +1,6 @@
-(** Deterministic simulation fuzzer (DST harness).
+(** Deterministic simulation fuzzer (DST harness), and the one
+    fault-experiment runner: the fuzzer, the paper's Table 7.4 campaigns
+    and [hive_sim fault] all build plans and judge them with [run_plan].
 
     A single 64-bit seed derives a whole experiment: machine shape (cells,
     nodes per cell), workload and its scaled-down configuration, an
@@ -18,6 +20,12 @@ type traffic = {
   t_deadline_ms : int;  (** end-to-end client budget *)
 }
 
+(** How the workload is sized. [Seeded]: the fuzzer's scaled-down
+    configuration drawn from the seed, fault times absolute. [Paper]: the
+    Table 7.1 defaults, fault times counted from the end of workload setup
+    (the Table 7.4 campaigns and [hive_sim fault]). *)
+type sizing = Seeded | Paper
+
 type plan = {
   seed : int64;
   ncells : int;
@@ -31,6 +39,11 @@ type plan = {
           workload; [faults] still applies mid-traffic. Drawn from its
           own salted stream appended after every other draw, so seeds
           without traffic keep byte-identical plans. *)
+  sizing : sizing;
+  wax : bool;  (** boot with Wax (off for [hive_sim fault]) *)
+  oracle : bool;  (** failure oracle instead of distributed agreement *)
+  smp : bool;  (** SMP-OS baseline: one kernel, firewall disabled *)
+  import_cache : bool;  (** false: the legacy sharing protocol *)
 }
 
 type record = {
@@ -44,9 +57,22 @@ type record = {
   r_events : int;
       (** events the engine scheduled: a deterministic measure of how
           much simulation work the seed did *)
+  r_detect_ms : float option;
+      (** first landed fault until the last cell entered recovery *)
+  r_recovery_ms : float option;
+      (** first cell entering recovery until the last round completed *)
+  r_contained : bool;
+      (** every cell that went down was the victim of a landed fault *)
+  r_metrics : Hive.Metrics.Snapshot.t;
+      (** end-of-run metrics, as [metrics_out] writes them; its system
+          counters hold the round restarts and reintegrations *)
 }
 
 val plan_of_seed : int64 -> plan
+
+(** A four-cell, one-node-per-cell plan on the paper's machine running the
+    paper-size [workload] under [faults], Wax on, no jitter. *)
+val paper_plan : ?seed:int64 -> workload -> Campaign.fault list -> plan
 
 val describe_plan : plan -> string
 
@@ -76,7 +102,8 @@ val run_plan :
 val failed : record -> bool
 
 (** One JSON object (single line, stable field order) per record; two
-    replays of the same seed produce byte-identical lines. *)
+    replays of the same seed produce byte-identical lines. The latency,
+    containment and metrics fields are not printed. *)
 val record_to_json : record -> string
 
 (** Shrink a failing plan: repeatedly drop faults, round fault times to

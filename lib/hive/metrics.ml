@@ -62,6 +62,9 @@ module Snapshot = struct
   let sharing_total t name =
     Option.value ~default:0 (List.assoc_opt name t.sharing)
 
+  let system_counter t name =
+    Option.value ~default:0 (List.assoc_opt name t.system_counters)
+
   let client_hist t op = List.assoc_opt op t.rpc_client
 
   let op_hist t name = List.assoc_opt name t.ops

@@ -65,6 +65,9 @@ module Snapshot : sig
   (** Sharing total by name, 0 when absent. *)
   val sharing_total : t -> string -> int
 
+  (** System-wide counter by name, 0 when absent. *)
+  val system_counter : t -> string -> int
+
   (** Client-side histogram for one RPC op, if any calls were made. *)
   val client_hist : t -> string -> hist option
 

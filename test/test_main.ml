@@ -20,4 +20,5 @@ let () =
       ("wax-scale", Test_wax_scale.suite);
       ("fuzz", Test_fuzz.suite);
       ("bench", Test_bench.suite);
+      ("cli", Test_cli.suite);
     ]
