@@ -171,10 +171,9 @@ let attach_trace sys = function
 
 let finish_observability sys ~trace_close ~(output : output) =
   trace_close ();
-  (match output.out_metrics with
-  | None -> ()
-  | Some path -> Hive.Metrics.write_file sys path);
-  Hive.Metrics.print_summary (Hive.Metrics.capture sys)
+  let m = Hive.Metrics.capture sys in
+  Option.iter (Hive.Metrics.write_file m) output.out_metrics;
+  Hive.Metrics.print_summary m
 
 (* ---- workload command ---- *)
 
@@ -348,7 +347,7 @@ let run_fault kind shape node victim at_ms cascade_node oracle link_from
     in
     let r =
       Faultinj.Fuzz.run_plan ?trace_out:output.out_trace
-        ?metrics_out:output.out_metrics plan
+        ?metrics_out:output.out_metrics ~snapshot:true plan
     in
     List.iter (Printf.printf "injected: %s\n") r.Faultinj.Fuzz.r_injected;
     Printf.printf "pmake with %s fault: %s, run ended at %.3f s simulated\n"
@@ -362,12 +361,10 @@ let run_fault kind shape node victim at_ms cascade_node oracle link_from
     Option.iter
       (Printf.printf "recovery latency: %.1f ms\n")
       r.Faultinj.Fuzz.r_recovery_ms;
-    let m = r.Faultinj.Fuzz.r_metrics in
-    let sys_count = Hive.Metrics.Snapshot.system_counter m in
+    let m = Option.get r.Faultinj.Fuzz.r_metrics in
     Printf.printf "recovery round restarts: %d\n"
-      (sys_count "recovery.round_restarts");
-    Printf.printf "cells reintegrated: %d\n"
-      (sys_count "cell.reintegrations");
+      r.Faultinj.Fuzz.r_round_restarts;
+    Printf.printf "cells reintegrated: %d\n" r.Faultinj.Fuzz.r_reintegrations;
     Printf.printf "live cells: [%s]\n"
       (String.concat "; "
          (List.map string_of_int r.Faultinj.Fuzz.r_survivors));
@@ -393,8 +390,13 @@ let run_fault kind shape node victim at_ms cascade_node oracle link_from
       r.Faultinj.Fuzz.r_violations;
     Printf.printf "invariants: %s\n"
       (if Faultinj.Fuzz.failed r then "VIOLATED" else "clean");
+    let landed = List.length r.Faultinj.Fuzz.r_injected in
+    if landed < List.length faults then
+      Printf.printf "faults landed: %d of %d\n" landed (List.length faults);
+    Printf.printf "contained: %s\n"
+      (if r.Faultinj.Fuzz.r_contained then "yes" else "NO");
     Hive.Metrics.print_summary m;
-    if Faultinj.Fuzz.failed r then 1 else 0
+    if Faultinj.Fuzz.passed plan r then 0 else 1
   end
 
 (* ---- fuzz command ---- *)

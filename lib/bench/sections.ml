@@ -381,13 +381,6 @@ let table_7_4_plans ~full =
             mode = modes.(i mod Array.length modes) });
   ]
 
-(* A test passes when its fault landed, the oracle found nothing and only
-   the victim cell went down. *)
-let table_7_4_passed (r : Faultinj.Fuzz.record) =
-  (not (Faultinj.Fuzz.failed r))
-  && r.Faultinj.Fuzz.r_injected <> []
-  && r.Faultinj.Fuzz.r_contained
-
 let table_7_4 ?(full = true) () =
   section_header
     (if full then "table-7.4 (fault injection, four cells, full 69 tests)"
@@ -410,8 +403,9 @@ let table_7_4 ?(full = true) () =
   List.iter2
     (fun (label, plans) (pt, pavg, pmax) ->
       let records = List.map Faultinj.Fuzz.run_plan plans in
+      let verdicts = List.map2 Faultinj.Fuzz.passed plans records in
       let tests = List.length records in
-      let passed = List.for_all table_7_4_passed records in
+      let passed = List.for_all Fun.id verdicts in
       let det =
         List.filter_map (fun r -> r.Faultinj.Fuzz.r_detect_ms) records
       in
@@ -424,15 +418,15 @@ let table_7_4 ?(full = true) () =
       row "    detection avg %5.0f max %5.0f ms (paper %3.0f/%3.0f)  recovery avg %3.0f ms (paper 40-80)  contained: %s"
         (avg det) (List.fold_left max 0. det) pavg pmax (avg rec_)
         (if passed then "ALL" else "FAILED");
-      List.iter
-        (fun r ->
-          if not (table_7_4_passed r) then
+      List.iter2
+        (fun r ok ->
+          if not ok then
             row "    FAILURE: %s: injected=[%s] contained=%b violations=[%s]"
               r.Faultinj.Fuzz.r_plan
               (String.concat "; " r.Faultinj.Fuzz.r_injected)
               r.Faultinj.Fuzz.r_contained
               (String.concat "; " r.Faultinj.Fuzz.r_violations))
-        records)
+        records verdicts)
     (table_7_4_plans ~full) paper;
   row "TOTAL: effects contained in %d of %d tests (paper: 69 of 69)"
     !contained !total
@@ -882,33 +876,6 @@ let rpc_resilience () =
     failwith
       ("rpc-resilience: duplicate execution: " ^ Hive.Invariants.to_string v)
 
-(* ---------- fuzzer throughput ---------- *)
-
-(* Wall-clock throughput of the DST harness: how many randomized fault
-   campaigns the fuzzer gets through per second of real time, and how much
-   simulated time that buys. A healthy tree reports zero failures. *)
-let fuzz_bench () =
-  section_header "fuzz (deterministic simulation fuzzer throughput)";
-  let nseeds = 8 in
-  let t0 = Sys.time () in
-  let sim_ns = ref 0L in
-  let failures = ref 0 in
-  for s = 1 to nseeds do
-    let r =
-      Faultinj.Fuzz.run_plan (Faultinj.Fuzz.plan_of_seed (Int64.of_int s))
-    in
-    sim_ns := Int64.add !sim_ns r.Faultinj.Fuzz.r_sim_ns;
-    if Faultinj.Fuzz.failed r then incr failures
-  done;
-  let wall = max (Sys.time () -. t0) 1e-6 in
-  let sim_s = Int64.to_float !sim_ns /. 1e9 in
-  row "%d seeds in %.2f s wall (%.1f campaigns/s)" nseeds wall
-    (float_of_int nseeds /. wall);
-  row "simulated %.1f s total -> %.0fx faster than real time" sim_s
-    (sim_s /. wall);
-  row "failures: %d (must be 0 on a healthy tree)" !failures;
-  if !failures > 0 then failwith "fuzz: clean seeds reported violations"
-
 (* ---------- registry ---------- *)
 
 let all : (string * (quick:bool -> unit)) list =
@@ -927,7 +894,6 @@ let all : (string * (quick:bool -> unit)) list =
     ("sharing", plain sharing_bench);
     ("recovery-discard", plain recovery_discard_bench);
     ("rpc-resilience", plain rpc_resilience);
-    ("fuzz", plain fuzz_bench);
     ("hw-features", plain hw_features);
     ("ablations", plain ablations);
   ]

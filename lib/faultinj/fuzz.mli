@@ -63,9 +63,11 @@ type record = {
       (** first cell entering recovery until the last round completed *)
   r_contained : bool;
       (** every cell that went down was the victim of a landed fault *)
-  r_metrics : Hive.Metrics.Snapshot.t;
-      (** end-of-run metrics, as [metrics_out] writes them; its system
-          counters hold the round restarts and reintegrations *)
+  r_round_restarts : int;  (** recovery rounds aborted and restarted *)
+  r_reintegrations : int;  (** failed cells rebooted and rejoined *)
+  r_metrics : Hive.Metrics.Snapshot.t option;
+      (** end-of-run metrics, as [metrics_out] writes them; [None] unless
+          [snapshot] or [metrics_out] was given *)
 }
 
 val plan_of_seed : int64 -> plan
@@ -76,7 +78,13 @@ val paper_plan : ?seed:int64 -> workload -> Campaign.fault list -> plan
 
 val describe_plan : plan -> string
 
-(** Run one plan to completion and check every invariant. [demo_bug]
+(** Run one plan to completion and judge it. A fault-free run's outputs
+    must be exact. A faulted run's outputs may show loss but no
+    corruption (seed-sized runs that lost a cell are exempt: their
+    applications are not fault-tolerant); the survivors then run a small
+    pmake check build whose outputs must be exact. Every run must
+    quiesce, drain its outstanding RPCs and pass [Invariants.check] with
+    the fault victims exempt. [demo_bug]
     plants a deliberate containment bug (a firewall grant the kernel
     never recorded) when a node failure lands — used to prove the
     checkers can catch one. [dup_bug] plants a transport bug instead:
@@ -89,17 +97,25 @@ val describe_plan : plan -> string
     other dead and elect concurrent recovery masters — the latched
     single-master oracle must flag the overlap.
     [trace_out] writes a Chrome trace_event JSON file of the run;
-    [metrics_out] writes the end-of-run typed metrics snapshot as JSON. *)
+    [metrics_out] writes the end-of-run typed metrics snapshot as JSON;
+    [snapshot] keeps it in the record. *)
 val run_plan :
   ?demo_bug:bool ->
   ?dup_bug:bool ->
   ?split_brain:bool ->
   ?trace_out:string ->
   ?metrics_out:string ->
+  ?snapshot:bool ->
   plan ->
   record
 
+(** The oracle flagged the run. The fuzzer judges by this alone: its
+    plans may schedule faults that find no victim. *)
 val failed : record -> bool
+
+(** The verdict of a fault experiment (Table 7.4, [hive_sim fault]): not
+    [failed], every fault of the plan landed, and [r_contained]. *)
+val passed : plan -> record -> bool
 
 (** One JSON object (single line, stable field order) per record; two
     replays of the same seed produce byte-identical lines. The latency,

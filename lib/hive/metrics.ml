@@ -62,9 +62,6 @@ module Snapshot = struct
   let sharing_total t name =
     Option.value ~default:0 (List.assoc_opt name t.sharing)
 
-  let system_counter t name =
-    Option.value ~default:0 (List.assoc_opt name t.system_counters)
-
   let client_hist t op = List.assoc_opt op t.rpc_client
 
   let op_hist t name = List.assoc_opt name t.ops
@@ -418,9 +415,9 @@ let capture (sys : Types.system) : Snapshot.t =
 
 let to_json (sys : Types.system) = Snapshot.to_string (capture sys)
 
-let write_file (sys : Types.system) path =
+let write_file (s : Snapshot.t) path =
   let oc = open_out path in
-  output_string oc (to_json sys);
+  output_string oc (Snapshot.to_string s);
   output_char oc '\n';
   close_out oc
 

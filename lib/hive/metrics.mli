@@ -65,9 +65,6 @@ module Snapshot : sig
   (** Sharing total by name, 0 when absent. *)
   val sharing_total : t -> string -> int
 
-  (** System-wide counter by name, 0 when absent. *)
-  val system_counter : t -> string -> int
-
   (** Client-side histogram for one RPC op, if any calls were made. *)
   val client_hist : t -> string -> hist option
 
@@ -105,8 +102,8 @@ val cache_hit_rate : Types.system -> float option
 (** [capture] rendered as compact JSON text. *)
 val to_json : Types.system -> string
 
-(** Write {!to_json} to [path]. *)
-val write_file : Types.system -> string -> unit
+(** Write a snapshot to [path] as compact JSON text. *)
+val write_file : Snapshot.t -> string -> unit
 
 (** Print a human-readable summary of a snapshot (per-op RPC latency
     percentiles, sharing totals and the recovery timeline) to stdout. *)

@@ -47,10 +47,23 @@ let test_corrupt_cow_and_map_differ () =
     [ "injected: corrupt address map on cell 2 @ 300ms -> cell 2" ]
     (injected "corrupt-map")
 
+(* The exit status is [Fuzz.passed]: a clean oracle is not enough when
+   the fault never landed (here, long after pmake's processes are gone). *)
+let test_unlanded_fault_fails () =
+  let status, text = run "fault corrupt-map --victim 1 --at-ms 30000" in
+  Alcotest.(check int) "exit status" 1 status;
+  Alcotest.(check (list string)) "oracle clean" [ "invariants: clean" ]
+    (lines_with "invariants:" text);
+  Alcotest.(check (list string)) "shortfall reported"
+    [ "faults landed: 0 of 1" ]
+    (lines_with "faults landed:" text)
+
 let suite =
   [
     Alcotest.test_case "bad output paths exit 2 before boot" `Quick
       test_bad_output_paths;
     Alcotest.test_case "fault corrupt-cow and corrupt-map differ" `Slow
       test_corrupt_cow_and_map_differ;
+    Alcotest.test_case "fault that never lands fails" `Quick
+      test_unlanded_fault_fails;
   ]

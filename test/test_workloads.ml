@@ -122,16 +122,9 @@ let test_raytrace_detects_scene_corruption () =
    runner and oracle as a fuzz seed. A test passes when its faults landed,
    the oracle found nothing and only the victims went down. *)
 let run_campaign ~seed workload faults =
-  let r =
-    Faultinj.Fuzz.run_plan
-      (Faultinj.Fuzz.paper_plan ~seed workload faults)
-  in
-  let passed =
-    (not (Faultinj.Fuzz.failed r))
-    && List.length r.Faultinj.Fuzz.r_injected = List.length faults
-    && r.Faultinj.Fuzz.r_contained
-  in
-  (r, passed)
+  let plan = Faultinj.Fuzz.paper_plan ~seed workload faults in
+  let r = Faultinj.Fuzz.run_plan plan in
+  (r, Faultinj.Fuzz.passed plan r)
 
 let has_violation (r : Faultinj.Fuzz.record) inv =
   List.exists
@@ -165,14 +158,11 @@ let test_campaign_cascade_contained () =
   in
   Alcotest.(check bool) "no deadlock" false
     (has_violation r "deadlock" || has_violation r "quiesce");
-  let sys_count =
-    Hive.Metrics.Snapshot.system_counter r.Faultinj.Fuzz.r_metrics
-  in
   Alcotest.(check bool) "round restarted" true
-    (sys_count "recovery.round_restarts" >= 1);
+    (r.Faultinj.Fuzz.r_round_restarts >= 1);
   Alcotest.(check bool) "contained" true r.Faultinj.Fuzz.r_contained;
   Alcotest.(check bool) "both victims reintegrated" true
-    (sys_count "cell.reintegrations" >= 2
+    (r.Faultinj.Fuzz.r_reintegrations >= 2
     && List.mem 1 r.Faultinj.Fuzz.r_survivors
     && List.mem 2 r.Faultinj.Fuzz.r_survivors);
   Alcotest.(check bool) "check run passed" false (has_violation r "check-run");
