@@ -1,51 +1,19 @@
-(* Benchmark driver. Three modes:
+(* Benchmark driver. Two modes:
 
-     main [--quick] [SECTION...]     paper-reproduction sections (Bench.Sections)
      main sweep [OPTIONS]            dimensional scenario sweep (Bench.Sweep)
      main diff [OPTIONS]             regression gate vs a committed trajectory
 
-   Sections print paper-vs-measured rows; the sweep emits one deterministic
-   BENCH_<area>.json per area; diff compares two sweep directories and exits
-   non-zero past the regression threshold. *)
+   The sweep emits one deterministic BENCH_<area>.json per area (the
+   paper's tables are area [paper]); diff compares two sweep directories
+   and exits non-zero past the regression threshold. *)
 
 let usage () =
-  prerr_endline
-    "usage: main [--quick] [SECTION...]\n\
-    \       main sweep [--quick] [--areas A,B] [--out-dir DIR]\n\
-    \       main diff --baseline DIR --fresh DIR [--threshold PCT]\n\n\
-     sections:";
-  List.iter (fun n -> Printf.eprintf "  %s\n" n) Bench.Sections.names;
   Bench.Scenarios.register ();
+  prerr_endline
+    "usage: main sweep [--quick] [--areas A,B] [--out-dir DIR]\n\
+    \       main diff --baseline DIR --fresh DIR [--threshold PCT]";
   Printf.eprintf "\nsweep areas: %s\n"
-    (String.concat ", " (Bench.Scenario.areas ()));
-  2
-
-let run_sections args =
-  let quick = List.mem "--quick" args in
-  let args = List.filter (fun a -> a <> "--quick") args in
-  let unknown = ref false in
-  let chosen =
-    if args = [] then Bench.Sections.all
-    else
-      List.filter_map
-        (fun a ->
-          match Bench.Sections.find a with
-          | Some f -> Some (a, f)
-          | None ->
-            Printf.eprintf "unknown section %s (see --help)\n" a;
-            unknown := true;
-            None)
-        args
-  in
-  if !unknown then 2
-  else begin
-    Printf.printf
-      "Hive reproduction benchmarks (simulated FLASH, four 200-MHz \
-       processors)\n";
-    List.iter (fun (_, f) -> f ~quick) chosen;
-    Printf.printf "\nDone.\n";
-    0
-  end
+    (String.concat ", " (Bench.Scenario.areas ()))
 
 let run_sweep args =
   let quick = ref false in
@@ -124,7 +92,9 @@ let run_diff args =
 
 let () =
   match List.tl (Array.to_list Sys.argv) with
-  | "--help" :: _ | "-h" :: _ -> exit (usage ())
   | "sweep" :: rest -> exit (run_sweep rest)
   | "diff" :: rest -> exit (run_diff rest)
-  | rest -> exit (run_sections rest)
+  | [ "--help" ] | [ "-h" ] -> usage ()
+  | _ ->
+    usage ();
+    exit 2

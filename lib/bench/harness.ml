@@ -1,16 +1,4 @@
-(* Shared plumbing for benchmark sections and sweep scenarios. *)
-
-let section_header title = Printf.printf "\n=== %s ===\n%!" title
-
-let row fmt = Printf.ksprintf (fun s -> Printf.printf "  %s\n%!" s) fmt
-
-let compare_row ~label ~paper ~measured ~unit_ =
-  row "%-46s paper %10s   measured %10s %s" label paper measured unit_
-
-let boot ?(ncells = 4) ?(mcfg = Flash.Config.default) ?(wax = false) () =
-  let eng = Sim.Engine.create () in
-  let sys = Hive.System.boot ~mcfg ~ncells ~wax eng in
-  (eng, sys)
+(* Shared plumbing for the sweep scenarios. *)
 
 (* Run a simulation-thread body to completion and return simulated ns. *)
 let timed_in_thread eng body =

@@ -1,21 +1,6 @@
-(** Shared plumbing for the benchmark sections and sweep scenarios:
-    booting a system, timing a simulation-thread body in virtual time,
-    the no-op RPC ops, and a warmed data-home file. *)
-
-val section_header : string -> unit
-
-(** Print one indented result line. *)
-val row : ('a, unit, string, unit) format4 -> 'a
-
-val compare_row :
-  label:string -> paper:string -> measured:string -> unit_:string -> unit
-
-val boot :
-  ?ncells:int ->
-  ?mcfg:Flash.Config.t ->
-  ?wax:bool ->
-  unit ->
-  Sim.Engine.t * Hive.Types.system
+(** Shared plumbing for the sweep scenarios: timing a simulation-thread
+    body in virtual time, the no-op RPC ops, and a warmed data-home
+    file. *)
 
 (** Run a simulation-thread body to completion and return simulated ns. *)
 val timed_in_thread : Sim.Engine.t -> (unit -> unit) -> int64

@@ -40,9 +40,16 @@ type direction =
   | Higher_better
   | Info  (** context only: never flagged *)
 
-type metric = { m_name : string; m_value : float; m_dir : direction }
+(** [m_paper] is the paper's published value for the same quantity, if it
+    reports one; it is context for the reader and never gated. *)
+type metric = {
+  m_name : string;
+  m_value : float;
+  m_dir : direction;
+  m_paper : float option;
+}
 
-val metric : ?dir:direction -> string -> float -> metric
+val metric : ?dir:direction -> ?paper:float -> string -> float -> metric
 
 type t = private {
   sc_name : string;

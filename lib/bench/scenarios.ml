@@ -6,8 +6,9 @@
 
 open Scenario
 
-(* Boot a system for one grid point. *)
-let boot_dims (dims : dims) =
+(* Boot a system for one grid point; [params] is the base the cache
+   dimension applies to. *)
+let boot_dims ?(params = Hive.Params.default) (dims : dims) =
   let eng = Sim.Engine.create () in
   let mcfg = Flash.Config.with_nodes Flash.Config.default dims.nodes in
   let mcfg =
@@ -15,8 +16,7 @@ let boot_dims (dims : dims) =
     else mcfg
   in
   let params =
-    if dims.import_cache then Hive.Params.default
-    else Hive.Params.legacy_sharing Hive.Params.default
+    if dims.import_cache then params else Hive.Params.legacy_sharing params
   in
   let sys =
     Hive.System.boot ~mcfg ~params ~ncells:dims.cells
@@ -116,6 +116,27 @@ let declare_rpc () =
        ~quick:[ rpc_base ]
        (run_rpc ~op:Harness.noop_queued_op ~opname:"bench.noop_queued"))
 
+(* Map the first [npages] of [path] read-only on [cell] and read-fault
+   each page once, adding every fault's latency to [acc]. *)
+let touch_pages sys ~cell ~path ~npages acc =
+  let p =
+    Hive.Process.spawn sys sys.Hive.Types.cells.(cell) ~name:"pass"
+      (fun sys p ->
+        let fd = Hive.Syscall.openf sys p path in
+        let r = Hive.Syscall.mmap_file sys p ~fd ~npages ~writable:false in
+        for k = 0 to npages - 1 do
+          let t0 = Sim.Engine.time () in
+          Hive.Syscall.touch sys p ~vpage:(r.Hive.Types.start_page + k)
+            ~write:false;
+          Sim.Stats.add_ns acc (Int64.sub (Sim.Engine.time ()) t0)
+        done)
+  in
+  ignore
+    (Hive.System.run_until_processes_done sys
+       ~deadline:
+         (Int64.add (Sim.Engine.now sys.Hive.Types.eng) 400_000_000_000L)
+       [ p ])
+
 (* ---------- area sharing ---------- *)
 
 (* Remote read faults from cell 1 against a file homed on cell 0: a cold
@@ -125,24 +146,9 @@ let run_remote_read (dims : dims) =
   let eng, sys = boot_dims dims in
   let npages = dims.ws_pages in
   let path = Harness.make_warm_file sys ~npages in
-  let c1 = sys.Hive.Types.cells.(1) in
   let touch_pass () =
     let acc = Sim.Stats.summary ~keep_samples:true () in
-    let p =
-      Hive.Process.spawn sys c1 ~name:"pass" (fun sys p ->
-          let fd = Hive.Syscall.openf sys p path in
-          let r = Hive.Syscall.mmap_file sys p ~fd ~npages ~writable:false in
-          for k = 0 to npages - 1 do
-            let t0 = Sim.Engine.time () in
-            Hive.Syscall.touch sys p ~vpage:(r.Hive.Types.start_page + k)
-              ~write:false;
-            Sim.Stats.add_ns acc (Int64.sub (Sim.Engine.time ()) t0)
-          done)
-    in
-    ignore
-      (Hive.System.run_until_processes_done sys
-         ~deadline:(Int64.add (Sim.Engine.now eng) 400_000_000_000L)
-         [ p ]);
+    touch_pages sys ~cell:1 ~path ~npages acc;
     (* Drain the reaper so exit-time releases park their bindings. *)
     Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 100_000_000L) eng;
     acc
@@ -243,19 +249,27 @@ let declare_sharing () =
 
 (* ---------- area workloads ---------- *)
 
-let run_workload_point (dims : dims) =
+let setup_workload sys = function
+  | "pmake" -> Workloads.Pmake.setup sys Workloads.Pmake.default
+  | "ocean" -> Workloads.Ocean.setup sys Workloads.Ocean.default
+  | "raytrace" -> ()
+  | other -> failwith ("unknown workload " ^ other)
+
+let run_workload sys name =
+  fst
+    (match name with
+    | "pmake" -> Workloads.Pmake.run sys
+    | "ocean" -> Workloads.Ocean.run sys
+    | _ -> Workloads.Raytrace.run sys)
+
+(* One paper-size run of the grid point's workload. *)
+let workload_result (dims : dims) =
   let _eng, sys = boot_dims dims in
-  let result, _ =
-    match dims.workload with
-    | "pmake" ->
-      Workloads.Pmake.setup sys Workloads.Pmake.default;
-      Workloads.Pmake.run sys
-    | "ocean" ->
-      Workloads.Ocean.setup sys Workloads.Ocean.default;
-      Workloads.Ocean.run sys
-    | "raytrace" -> Workloads.Raytrace.run sys
-    | other -> failwith ("unknown workload " ^ other)
-  in
+  setup_workload sys dims.workload;
+  run_workload sys dims.workload
+
+let run_workload_point (dims : dims) =
+  let result = workload_result dims in
   [
     metric "elapsed_ms"
       (Int64.to_float result.Workloads.Workload.elapsed_ns /. 1e6);
@@ -288,7 +302,7 @@ let declare_workloads () =
 (* ---------- area fuzz ---------- *)
 
 (* Deterministic profile of a fixed fuzz-seed batch. Wall-clock
-   throughput belongs to the sections report (never committed); every
+   throughput is perfbench's job (never committed); every
    metric here is a pure function of the seeds, so the committed
    BENCH_fuzz.json is byte-stable and the diff gate catches behavioral
    drift in the DES hot paths — an engine change that alters verdicts,
@@ -863,6 +877,536 @@ let declare_scale () =
          ]
        run_scale)
 
+(* ---------- area paper ---------- *)
+
+(* The paper's own evaluation (Sections 4.1, 4.2, 5.2, 6 and Tables 5.2,
+   7.2-7.4) plus the design ablations, as gated rows. A metric the paper
+   also reports carries the published value as [paper]. The machine is
+   the paper's four processors, one cell each, unless a row says
+   otherwise. *)
+
+(* Section 6: null RPC, the RPC part of a common request (64-byte
+   argument), and a null RPC through the queued service. *)
+let run_rpc_latency (dims : dims) =
+  let eng, sys = boot_dims dims in
+  Harness.register_bench_ops ();
+  let avg op arg_bytes = Harness.avg_rpc_us eng sys ~op ~arg_bytes ~n:1000 in
+  let null_us = avg Harness.noop_op 0 in
+  let common_us = avg Harness.noop_op 64 in
+  let queued_us = avg Harness.noop_queued_op 0 in
+  [
+    metric ~paper:7.2 "null_us" null_us;
+    metric ~paper:9.6 "common_us" common_us;
+    metric ~paper:34. "queued_us" queued_us;
+  ]
+
+(* Section 4.1: a peer clock read under the careful reference protocol
+   against the same data fetched by a null RPC. *)
+let run_careful_ref (dims : dims) =
+  let eng, sys = boot_dims dims in
+  Harness.register_bench_ops ();
+  let n = 1000 in
+  let c0 = sys.Hive.Types.cells.(0) in
+  let total =
+    Harness.timed_in_thread eng (fun () ->
+        for _ = 1 to n do
+          match Hive.Clock.read_peer_clock sys c0 ~target:1 with
+          | Ok _ -> ()
+          | Error _ -> failwith "careful-ref: careful read failed"
+        done)
+  in
+  let careful_us = Int64.to_float total /. float_of_int n /. 1e3 in
+  let rpc_us =
+    Harness.avg_rpc_us eng sys ~op:Harness.noop_op ~arg_bytes:0 ~n
+  in
+  [
+    metric ~paper:1.16 "careful_us" careful_us;
+    metric ~paper:7.2 "rpc_us" rpc_us;
+    metric ~dir:Higher_better ~paper:6. "speedup" (rpc_us /. careful_us);
+  ]
+
+(* Table 5.2 and the page-fault row of Table 7.3: mean latency of
+   [ws_pages] read faults that hit the data home's page cache, taken on
+   the home cell (local) and on the last cell (remote). *)
+let run_pagefault (dims : dims) =
+  let _eng, sys = boot_dims dims in
+  let npages = dims.ws_pages in
+  let path = Harness.make_warm_file sys ~npages in
+  let mean_fault_us cell =
+    let acc = Sim.Stats.summary () in
+    touch_pages sys ~cell ~path ~npages acc;
+    Sim.Stats.mean acc /. 1e3
+  in
+  let local_us = mean_fault_us 0 in
+  let remote_us = mean_fault_us (dims.cells - 1) in
+  [
+    metric ~paper:6.9 "local_us" local_us;
+    metric ~paper:50.7 "remote_us" remote_us;
+    metric ~paper:7.4 "remote_over_local" (remote_us /. local_us);
+  ]
+
+(* Section 5.2: page-cache faults taken during pmake, how many went
+   remote, and their cumulative latency. *)
+let run_pagefault_pmake (dims : dims) =
+  let _eng, sys = boot_dims dims in
+  Workloads.Pmake.setup sys Workloads.Pmake.default;
+  let totals () =
+    Array.fold_left
+      (fun (local, remote, ns) (c : Hive.Types.cell) ->
+        let l = c.Hive.Types.fault_in_cache_ns in
+        let r = c.Hive.Types.remote_fault_ns in
+        ( local + Sim.Stats.count l,
+          remote + Sim.Stats.count r,
+          ns +. Sim.Stats.sum l +. Sim.Stats.sum r ))
+      (0, 0, 0.) sys.Hive.Types.cells
+  in
+  let l0, r0, ns0 = totals () in
+  ignore (run_workload sys "pmake");
+  let l1, r1, ns1 = totals () in
+  let four v = if dims.cells = 4 then Some v else None in
+  [
+    metric ?paper:(four 8935.) "faults" (float_of_int (l1 - l0 + (r1 - r0)));
+    metric ?paper:(four 4946.) "remote_faults" (float_of_int (r1 - r0));
+    metric
+      ~paper:(if dims.cells = 4 then 455. else 117.)
+      "fault_ms"
+      ((ns1 -. ns0) /. 1e6);
+  ]
+
+(* Section 4.2, firewall overhead: one remote page write with the
+   firewall check on and off. [Memory.access_cost] adds
+   [firewall_check_ns] to every line, so the overhead is a property of
+   the machine model, the same for any workload. *)
+let remote_write_miss_ns ~firewall_enabled =
+  let eng = Sim.Engine.create () in
+  let cfg = { Flash.Config.default with firewall_enabled } in
+  let m = Flash.Machine.create eng cfg in
+  let mem = Flash.Machine.memory m in
+  Flash.Firewall.grant (Flash.Machine.firewall m) ~by:0 ~pfn:0 ~proc:1;
+  ignore
+    (Sim.Engine.spawn eng (fun () ->
+         Flash.Memory.write eng mem ~by:1 0
+           (Bytes.make cfg.Flash.Config.page_size 'x')));
+  Sim.Engine.run eng;
+  Flash.Memory.remote_write_miss_avg_ns mem
+
+(* Section 4.2, exposure: remotely-writable pages per cell, sampled every
+   20 ms for 5 s of execution after a 1 s warm-up. *)
+let writable_pages (dims : dims) =
+  let eng, sys = boot_dims dims in
+  setup_workload sys dims.workload;
+  let samples =
+    Array.map (fun _ -> Sim.Stats.summary ()) sys.Hive.Types.cells
+  in
+  ignore
+    (Sim.Engine.spawn eng ~name:"sampler" (fun () ->
+         Sim.Engine.delay 1_000_000_000L;
+         for _ = 1 to 250 do
+           Sim.Engine.delay 20_000_000L;
+           Array.iteri
+             (fun i c ->
+               if Hive.Types.cell_alive c then
+                 Sim.Stats.add samples.(i)
+                   (float_of_int
+                      (Hive.Wild_write.remotely_writable_pages sys c)))
+             sys.Hive.Types.cells
+         done));
+  ignore (run_workload sys dims.workload);
+  let avg =
+    Array.fold_left (fun acc s -> acc +. Sim.Stats.mean s) 0. samples
+    /. float_of_int (Array.length samples)
+  in
+  let peak =
+    Array.fold_left (fun acc s -> max acc (Sim.Stats.max_value s)) 0. samples
+  in
+  let pmake = dims.workload = "pmake" in
+  [
+    metric ~paper:(if pmake then 15. else 550.) "avg_writable_pages" avg;
+    metric ?paper:(if pmake then Some 42. else None) "peak_writable_pages" peak;
+  ]
+
+let run_firewall (dims : dims) =
+  if dims.workload <> "write-miss" then writable_pages dims
+  else
+    let on_ns = remote_write_miss_ns ~firewall_enabled:true in
+    let off_ns = remote_write_miss_ns ~firewall_enabled:false in
+    [
+      metric "checked_ns" on_ns;
+      metric "unchecked_ns" off_ns;
+      (* The paper measures 6.3% under pmake and 4.4% under ocean. *)
+      metric ~paper:6.3 "overhead_pct" ((on_ns -. off_ns) /. off_ns *. 100.);
+    ]
+
+(* Table 7.2: the workload's run time in IRIX mode (the SMP-OS baseline)
+   and its slowdown on 1, 2 and 4 cells. *)
+let run_table_7_2 (dims : dims) =
+  let run cells smp = workload_result { dims with cells; smp } in
+  let irix = run 1 true in
+  let c1 = run 1 false in
+  let c2 = run 2 false in
+  let c4 = run 4 false in
+  let secs r = Workloads.Workload.ns_to_s r.Workloads.Workload.elapsed_ns in
+  let base = secs irix in
+  let slowdown cells r paper =
+    metric ~paper
+      (Printf.sprintf "slowdown_%dcell_pct" cells)
+      ((secs r -. base) /. base *. 100.)
+  in
+  let p_irix, (p1, p2, p4) =
+    match dims.workload with
+    | "ocean" -> (6.07, (1., 1., -1.))
+    | "raytrace" -> (4.35, (0., 0., 1.))
+    | _ -> (5.77, (1., 10., 11.))
+  in
+  [
+    metric ~paper:p_irix "irix_s" base;
+    slowdown 1 c1 p1;
+    slowdown 2 c2 p2;
+    slowdown 4 c4 p4;
+    metric ~dir:Higher_better "completed"
+      (if
+         List.for_all
+           (fun r -> r.Workloads.Workload.completed)
+           [ irix; c1; c2; c4 ]
+       then 1.
+       else 0.);
+  ]
+
+(* Table 7.3: one kernel operation timed on the home cell of a warm
+   [ws_pages] file (local) and on the other cell (remote). *)
+let run_table_7_3 (dims : dims) =
+  let bytes = dims.ws_pages * Flash.Config.default.Flash.Config.page_size in
+  let op sys p path =
+    match dims.workload with
+    | "read" ->
+      let fd = Hive.Syscall.openf sys p path in
+      ignore (Hive.Syscall.read sys p ~fd ~len:bytes);
+      Hive.Syscall.close sys p ~fd
+    | "write" ->
+      let fd = Hive.Syscall.creat sys p "/tmp/bench.out" in
+      ignore (Hive.Syscall.write sys p ~fd (Bytes.make bytes 'x'));
+      Hive.Syscall.close sys p ~fd
+    | _ ->
+      let fd = Hive.Syscall.openf sys p path in
+      Hive.Syscall.close sys p ~fd
+  in
+  let measure cell =
+    let eng, sys = boot_dims dims in
+    let path = Harness.make_warm_file sys ~npages:dims.ws_pages in
+    let out = ref 0L in
+    let p =
+      Hive.Process.spawn sys sys.Hive.Types.cells.(cell) ~name:"op"
+        (fun sys p ->
+          let t0 = Sim.Engine.time () in
+          op sys p path;
+          out := Int64.sub (Sim.Engine.time ()) t0)
+    in
+    ignore
+      (Hive.System.run_until_processes_done sys
+         ~deadline:(Int64.add (Sim.Engine.now eng) 600_000_000_000L)
+         [ p ]);
+    Int64.to_float !out
+  in
+  let local = measure 0 in
+  let remote = measure 1 in
+  let unit_, scale, (p_local, p_remote, p_ratio) =
+    match dims.workload with
+    | "read" -> ("ms", 1e6, (65.0, 76.2, 1.2))
+    | "write" -> ("ms", 1e6, (83.7, 87.3, 1.1))
+    | _ -> ("us", 1e3, (148., 580., 3.9))
+  in
+  [
+    metric ~paper:p_local ("local_" ^ unit_) (local /. scale);
+    metric ~paper:p_remote ("remote_" ^ unit_) (remote /. scale);
+    metric ~paper:p_ratio "remote_over_local" (remote /. local);
+  ]
+
+(* The Table 7.4 campaigns as fixed plan lists, judged by the same oracle
+   as a fuzz seed: node failure during process creation (pmake), during
+   copy-on-write search (raytrace) and at random times (pmake); corrupt
+   pointer in a process address map (pmake) and in the copy-on-write tree
+   (raytrace). Fault times count from the end of workload setup. The
+   sampled lists take a fifth of each campaign, at least two tests. *)
+let table_7_4_plans ~full =
+  let n k = if full then k else max 2 (k / 5) in
+  let modes = Faultinj.Campaign.modes in
+  let campaign label k ~seed workload fault =
+    ( label,
+      List.init (n k) (fun i ->
+          Faultinj.Fuzz.paper_plan
+            ~seed:(Int64.of_int (seed + i))
+            workload [ fault i ]) )
+  in
+  let victim i = 1 + (i mod 3) in
+  let random_at = Sim.Prng.create 42 in
+  [
+    (* Inject early, while the driver is forking compile jobs. *)
+    campaign "node failure during process creation (pmake)" 20 ~seed:100
+      Faultinj.Fuzz.Pmake (fun i ->
+        Faultinj.Campaign.Node_failure
+          { node = victim i; at_ns = Int64.of_int (40_000_000 * (i + 2)) });
+    (* Inject while workers fault scene pages through the tree. *)
+    campaign "node failure during copy-on-write search (raytrace)" 9
+      ~seed:200 Faultinj.Fuzz.Raytrace (fun i ->
+        Faultinj.Campaign.Node_failure
+          { node = victim i; at_ns = Int64.of_int (15_000_000 * (i + 1)) });
+    campaign "node failure at random time (pmake)" 20 ~seed:300
+      Faultinj.Fuzz.Pmake (fun i ->
+        let at = 50_000_000 + Sim.Prng.int random_at 4_000_000_000 in
+        Faultinj.Campaign.Node_failure
+          { node = victim i; at_ns = Int64.of_int at });
+    campaign "corrupt pointer in process address map (pmake)" 8 ~seed:400
+      Faultinj.Fuzz.Pmake (fun i ->
+        Faultinj.Campaign.Corrupt_map
+          { victim_cell = victim i;
+            at_ns = Int64.of_int (120_000_000 * (i + 1));
+            mode = modes.(i mod Array.length modes) });
+    (* Injected mid-run, so the corruption lies dormant until a later
+       copy-on-write search trips it: that is why the paper's detection
+       latencies here are an order of magnitude above the clock-monitoring
+       bound. *)
+    campaign "corrupt pointer in copy-on-write tree (raytrace)" 12 ~seed:500
+      Faultinj.Fuzz.Raytrace (fun i ->
+        Faultinj.Campaign.Corrupt_cow
+          { victim_cell = victim i;
+            at_ns = Int64.of_int (300_000_000 + (180_000_000 * i));
+            mode = modes.(i mod Array.length modes) });
+  ]
+
+(* Metric prefix and the paper's tests and detection avg/max (ms) for
+   each campaign of [table_7_4_plans], in the same order. *)
+let table_7_4_paper =
+  [
+    ("fork_node", 20., 16., 21.);
+    ("cow_node", 9., 10., 11.);
+    ("random_node", 20., 21., 45.);
+    ("map_corrupt", 8., 38., 65.);
+    ("cow_corrupt", 12., 401., 760.);
+  ]
+
+(* Table 7.4: [ws_pages] plans in all, 69 for the full campaigns. A test
+   is contained when [Fuzz.passed] holds. *)
+let run_table_7_4 (dims : dims) =
+  let full = dims.ws_pages = 69 in
+  let if_full v = if full then Some v else None in
+  let campaigns = table_7_4_plans ~full in
+  if
+    List.fold_left (fun n (_, plans) -> n + List.length plans) 0 campaigns
+    <> dims.ws_pages
+  then invalid_arg "table-7.4: ws_pages must be 69 or 14";
+  let avg xs =
+    if xs = [] then 0.
+    else List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
+  in
+  let contained = ref 0 in
+  let rows =
+    List.map2
+      (fun (_, plans) (key, p_tests, p_avg, p_max) ->
+        let records = List.map Faultinj.Fuzz.run_plan plans in
+        let ok = List.map2 Faultinj.Fuzz.passed plans records in
+        List.iter2
+          (fun (r : Faultinj.Fuzz.record) ok ->
+            if not ok then
+              Printf.eprintf "table-7.4: not contained: %s [%s]\n%!"
+                r.Faultinj.Fuzz.r_plan
+                (String.concat "; " r.Faultinj.Fuzz.r_violations))
+          records ok;
+        let n = List.length records in
+        let passed = List.length (List.filter Fun.id ok) in
+        contained := !contained + passed;
+        let det =
+          List.filter_map (fun r -> r.Faultinj.Fuzz.r_detect_ms) records
+        in
+        let recov =
+          List.filter_map (fun r -> r.Faultinj.Fuzz.r_recovery_ms) records
+        in
+        let m ?dir ?paper name v = metric ?dir ?paper (key ^ "." ^ name) v in
+        [
+          m ~dir:Info ?paper:(if_full p_tests) "tests" (float_of_int n);
+          m ~dir:Higher_better "contained" (float_of_int passed);
+          m ~paper:p_avg "detect_avg_ms" (avg det);
+          m ~paper:p_max "detect_max_ms" (List.fold_left max 0. det);
+          m "recovery_avg_ms" (avg recov);
+        ])
+      campaigns table_7_4_paper
+  in
+  List.concat rows
+  @ [ metric ~dir:Higher_better ?paper:(if_full 69.) "contained"
+        (float_of_int !contained) ]
+
+(* Ablation: detection latency of a node failure at clock-monitoring
+   tick [tick_ms]. *)
+let detect_ms (dims : dims) ~tick_ms =
+  let params =
+    { Hive.Params.default with tick_ns = Int64.of_int (tick_ms * 1_000_000) }
+  in
+  let eng, sys = boot_dims ~params dims in
+  Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 100_000_000L) eng;
+  let t0 = Sim.Engine.now eng in
+  Hive.System.inject_node_failure sys 1;
+  ignore
+    (Hive.System.run_until sys
+       ~deadline:(Int64.add t0 10_000_000_000L)
+       (fun () ->
+         (not sys.Hive.Types.recovery_in_progress)
+         && sys.Hive.Types.recovery_events <> []));
+  match Hive.System.detection_latency_ns sys ~t_fault:t0 with
+  | Some ns -> Int64.to_float ns /. 1e6
+  | None -> failwith "ablations: node failure never detected"
+
+(* Ablation: cell 1 walks a COW node homed on cell 0 by careful
+   reference; the paper found no large benefit over an RPC (Section 5.3). *)
+let cow_walk_us (dims : dims) =
+  let eng, sys = boot_dims dims in
+  let node = ref None in
+  ignore
+    (Sim.Engine.spawn eng (fun () ->
+         node := Some (Hive.Cow.create_root sys sys.Hive.Types.cells.(0) ())));
+  Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 1_000_000L) eng;
+  let node = Option.get !node in
+  let t =
+    Harness.timed_in_thread eng (fun () ->
+        for _ = 1 to 500 do
+          ignore (Hive.Cow.lookup sys sys.Hive.Types.cells.(1) node ~page:3)
+        done)
+  in
+  Int64.to_float t /. 500. /. 1e3
+
+(* Ablation: a page of a file homed on cell 0 is scribbled by cell 1's
+   wild write just before cell 1 fails; is the corruption visible to a
+   fresh open after recovery? Without preemptive discard it survives and
+   reads back as good data. *)
+let corrupt_visible (dims : dims) ~discard =
+  let params =
+    { Hive.Params.default with enable_preemptive_discard = discard }
+  in
+  let _eng, sys = boot_dims ~params dims in
+  let path = "/tmp/integrity.dat" in
+  let corrupted_seen = ref false in
+  let victim =
+    Hive.Process.spawn sys sys.Hive.Types.cells.(0) ~name:"victim"
+      (fun sys p ->
+        ignore
+          (Hive.Syscall.creat sys p ~content:(Bytes.make 4096 'G') path);
+        Hive.Syscall.sync sys p;
+        (* Cell 1 obtains write access... *)
+        ignore
+          (Hive.Syscall.fork sys p ~on_cell:1 ~name:"writer" (fun sys c ->
+               let wfd = Hive.Syscall.openf sys c ~writable:true path in
+               ignore
+                 (Hive.Syscall.pwrite sys c ~fd:wfd ~pos:0
+                    (Bytes.of_string "G"));
+               (* ...then its kernel goes wild and scribbles before dying. *)
+               (match Hive.Fs.find_local sys.Hive.Types.cells.(0) path with
+               | Some f -> (
+                 match Hashtbl.find_opt f.Hive.Types.cached_pages 0 with
+                 | Some pf -> (
+                   let addr =
+                     Flash.Addr.addr_of_pfn sys.Hive.Types.mcfg
+                       pf.Hive.Types.pfn
+                   in
+                   try
+                     Flash.Memory.poke_wild
+                       (Flash.Machine.memory sys.Hive.Types.machine)
+                       ~by:(Hive.Types.boss_proc sys.Hive.Types.cells.(1))
+                       addr (Bytes.make 64 '\xBB')
+                   with Flash.Memory.Bus_error _ -> ())
+                 | None -> ())
+               | None -> ());
+               Hive.Syscall.compute sys c 10_000_000_000L));
+        Sim.Engine.delay 100_000_000L;
+        Hive.System.inject_node_failure sys
+          (Hive.Types.boss_proc sys.Hive.Types.cells.(1));
+        Sim.Engine.delay 500_000_000L;
+        (* Read through a fresh descriptor after recovery. *)
+        let fd = Hive.Syscall.openf sys p path in
+        let b = Hive.Syscall.pread sys p ~fd ~pos:0 ~len:64 in
+        corrupted_seen := Bytes.exists (fun ch -> ch = '\xBB') b)
+  in
+  ignore
+    (Hive.System.run_until_processes_done sys ~deadline:30_000_000_000L
+       [ victim ]);
+  if !corrupted_seen then 1. else 0.
+
+let run_ablation (dims : dims) =
+  match dims.workload with
+  | "tick" ->
+    List.map
+      (fun tick_ms ->
+        metric (Printf.sprintf "detect_ms_tick_%dms" tick_ms)
+          (detect_ms dims ~tick_ms))
+      [ 2; 10; 50 ]
+  | "cow-walk" -> [ metric "careful_us_per_node" (cow_walk_us dims) ]
+  | _ ->
+    let on = corrupt_visible dims ~discard:true in
+    let off = corrupt_visible dims ~discard:false in
+    [
+      metric "corrupt_visible_discard_on" on;
+      (* The ablation shows the defense only while this stays 1. *)
+      metric ~dir:Higher_better "corrupt_visible_discard_off" off;
+    ]
+
+let declare_paper () =
+  (* Every paper row is cheap enough for the reduced grid except the full
+     69-test Table 7.4 run. *)
+  let paper ~name ~doc ?quick dims run =
+    let quick = Option.value quick ~default:dims in
+    ignore (declare ~name ~area:"paper" ~doc ~dims ~quick run)
+  in
+  let on w = { default_dims with workload = w; cells = 4; nodes = 4 } in
+  paper ~name:"rpc-latency"
+    ~doc:"Section 6: null, common-request and queued null RPC latency"
+    [ on "rpc" ] run_rpc_latency;
+  paper ~name:"careful-ref"
+    ~doc:"Section 4.1: careful-reference peer clock read vs the same via RPC"
+    [ on "clock" ] run_careful_ref;
+  let fault = { (on "fault") with ws_pages = 1024; import_cache = false } in
+  paper ~name:"pagefault"
+    ~doc:
+      "Table 5.2 (4 cells) and the Table 7.3 fault row (2 cells): local vs \
+       remote read faults hitting the data home's cache, paper's sharing \
+       protocol"
+    [ fault; { fault with cells = 2; nodes = 2 } ]
+    run_pagefault;
+  let pm = { (on "pmake") with import_cache = false } in
+  paper ~name:"pagefault-pmake"
+    ~doc:
+      "Section 5.2: page-cache faults under pmake and their cumulative \
+       latency, paper's sharing protocol"
+    [ pm; { pm with cells = 1 } ]
+    run_pagefault_pmake;
+  paper ~name:"firewall"
+    ~doc:
+      "Section 4.2: firewall check cost on a remote write miss (one on/off \
+       pair), and remotely-writable pages per cell under pmake and ocean"
+    [ on "write-miss"; on "pmake"; on "ocean" ]
+    run_firewall;
+  paper ~name:"table-7.2"
+    ~doc:"Table 7.2: IRIX-mode run time and 1/2/4-cell slowdown per workload"
+    [ on "ocean"; on "raytrace"; on "pmake" ]
+    run_table_7_2;
+  let t73 w =
+    { default_dims with workload = w; cells = 2; nodes = 2; ws_pages = 1024 }
+  in
+  paper ~name:"table-7.3"
+    ~doc:
+      "Table 7.3: local vs remote 4 MB read, 4 MB write/extend and open on \
+       2 processors / 2 cells"
+    [ t73 "read"; t73 "write"; t73 "open" ]
+    run_table_7_3;
+  let t74 n = { (on "faultinj") with ws_pages = n } in
+  paper ~name:"table-7.4"
+    ~doc:
+      "Table 7.4: fault-injection campaigns through Fuzz.run_plan (ws = \
+       plans: 69 full, 14 sampled); detection, recovery, containment"
+    [ t74 69; t74 14 ] ~quick:[ t74 14 ] run_table_7_4;
+  paper ~name:"ablations"
+    ~doc:
+      "design ablations: clock tick vs detection latency, careful-reference \
+       COW walk, preemptive discard on/off"
+    [ on "tick"; on "cow-walk"; { (on "discard") with cells = 2 } ]
+    run_ablation
+
 (* ---------- registration ---------- *)
 
 let registered = ref false
@@ -876,5 +1420,6 @@ let register () =
     declare_fuzz ();
     declare_resilience ();
     declare_traffic ();
-    declare_scale ()
+    declare_scale ();
+    declare_paper ()
   end

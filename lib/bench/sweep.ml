@@ -31,8 +31,11 @@ let run ?areas ?(quick = false) ?(dims_filter = fun _ -> true)
               if verbose then
                 List.iter
                   (fun (m : Scenario.metric) ->
-                    Printf.printf "    %-24s %s\n%!" m.Scenario.m_name
-                      (J.float_repr m.Scenario.m_value))
+                    Printf.printf "    %-24s %s%s\n%!" m.Scenario.m_name
+                      (J.float_repr m.Scenario.m_value)
+                      (match m.Scenario.m_paper with
+                      | Some p -> "   (paper " ^ J.float_repr p ^ ")"
+                      | None -> ""))
                   metrics;
               let row =
                 { r_scenario = sc.Scenario.sc_name; r_dims = dims;
@@ -95,11 +98,15 @@ let row_to_json r =
           (List.map
              (fun (m : Scenario.metric) ->
                J.Obj
-                 [
-                   ("name", J.Str m.Scenario.m_name);
-                   ("value", J.Float m.Scenario.m_value);
-                   ("better", J.Str (direction_to_string m.Scenario.m_dir));
-                 ])
+                 ([
+                    ("name", J.Str m.Scenario.m_name);
+                    ("value", J.Float m.Scenario.m_value);
+                    ("better", J.Str (direction_to_string m.Scenario.m_dir));
+                  ]
+                 @
+                 match m.Scenario.m_paper with
+                 | Some p -> [ ("paper", J.Float p) ]
+                 | None -> []))
              r.r_metrics) );
     ]
 
@@ -121,6 +128,12 @@ let field name conv j =
     | Some x -> Ok x
     | None -> Error (Printf.sprintf "sweep: bad field %S" name))
 
+(* An optional field: absent is [None], present but malformed an error. *)
+let opt_field name conv j =
+  match J.member name j with
+  | None -> Ok None
+  | Some _ -> Result.map Option.some (field name conv j)
+
 let map_result f l =
   List.fold_left
     (fun acc x ->
@@ -141,12 +154,7 @@ let dims_of_json j : (Scenario.dims, string) result =
   (* traffic dims default to 0 so baselines written before they existed
      still parse (0 = "not a traffic row", matching default_dims) *)
   let opt_int name =
-    match J.member name j with
-    | None -> Ok 0
-    | Some v -> (
-      match J.to_int_opt v with
-      | Some n -> Ok n
-      | None -> Error (Printf.sprintf "sweep: bad field %S" name))
+    Result.map (Option.value ~default:0) (opt_field name J.to_int_opt j)
   in
   let* rate = opt_int "rate" in
   let* zipf_pct = opt_int "zipf_pct" in
@@ -159,9 +167,10 @@ let metric_of_json j =
   let* name = field "name" J.to_string_opt j in
   let* value = field "value" J.to_float_opt j in
   let* better = field "better" J.to_string_opt j in
+  let* paper = opt_field "paper" J.to_float_opt j in
   match direction_of_string better with
   | Some dir ->
-    Ok { Scenario.m_name = name; m_value = value; m_dir = dir }
+    Ok { Scenario.m_name = name; m_value = value; m_dir = dir; m_paper = paper }
   | None -> Error (Printf.sprintf "sweep: unknown direction %S" better)
 
 let row_of_json j =

@@ -13,8 +13,8 @@ type report = { a_area : string; a_rows : row list }
 (** Run the sweep. [areas] restricts to the named areas; [quick] runs each
     scenario's reduced grid; [dims_filter] drops grid points (both default
     to everything). [verbose] (default true) prints each row's metrics as
-    it completes. Reports are sorted by area; rows keep scenario
-    declaration order. *)
+    it completes, with the paper's value beside any metric that has one.
+    Reports are sorted by area; rows keep scenario declaration order. *)
 val run :
   ?areas:string list ->
   ?quick:bool ->
@@ -23,6 +23,8 @@ val run :
   unit ->
   report list
 
+(** A metric's [paper] field is written only when it is set, so rows
+    without paper values serialize as they always have. *)
 val report_to_json : report -> Sim.Json.t
 
 val report_of_json : Sim.Json.t -> (report, string) result

@@ -4,7 +4,8 @@
    interconnect fault (a degraded link or a partition). [inject] plants one
    into a running system; the experiment around it (boot, workload, the
    correctness check and the invariant oracle) is [Fuzz.run_plan]. The
-   paper's Table 7.4 campaigns are fixed plan lists in [Bench.Sections]. *)
+   paper's Table 7.4 campaigns are fixed plan lists in
+   [Bench.Scenarios.table_7_4_plans]. *)
 
 type fault =
   | Node_failure of { node : int; at_ns : int64 }

@@ -3,10 +3,14 @@
 
 open Bench
 
+let boot_2cell () =
+  let eng = Sim.Engine.create () in
+  (eng, Hive.System.boot ~ncells:2 ~wax:false eng)
+
 (* Boot a 2-cell system and drive some RPC + sharing traffic so the
    snapshot has non-trivial histograms, counters and a cache hit rate. *)
 let driven_system () =
-  let eng, sys = Harness.boot ~ncells:2 () in
+  let eng, sys = boot_2cell () in
   Harness.register_bench_ops ();
   ignore (Harness.avg_rpc_us eng sys ~op:Harness.noop_op ~arg_bytes:16 ~n:50);
   let npages = 8 in
@@ -53,7 +57,7 @@ let test_snapshot_roundtrip () =
 let test_hit_rate_nan_guard () =
   (* An idle system has zero lookups: the ratio must be absent, never
      0/0 = nan. *)
-  let _eng, sys = Harness.boot ~ncells:2 () in
+  let _eng, sys = boot_2cell () in
   Alcotest.(check bool) "idle hit rate is None" true
     (Hive.Metrics.cache_hit_rate sys = None);
   let snap = Hive.Metrics.capture sys in
@@ -99,7 +103,38 @@ let test_sweep_deterministic () =
       match Sweep.report_of_json (Sweep.report_to_json r) with
       | Error e -> Alcotest.failf "report round-trip failed: %s" e
       | Ok r' -> Alcotest.(check bool) "report equal" true (r = r'))
-    r1
+    r1;
+  (* A paper reference value is written only where it is set, and read
+     back. *)
+  let with_paper =
+    {
+      Sweep.a_area = "t";
+      a_rows =
+        [
+          {
+            Sweep.r_scenario = "pagefault";
+            r_dims = Scenario.default_dims;
+            r_metrics =
+              [ Scenario.metric ~paper:50.7 "remote_us" 51.9;
+                Scenario.metric "local_us" 6.9 ];
+          };
+        ];
+    }
+  in
+  let text = Sim.Json.to_string (Sweep.report_to_json with_paper) in
+  let occurrences needle =
+    let n = String.length needle in
+    let rec go i acc =
+      if i + n > String.length text then acc
+      else go (i + 1) (if String.sub text i n = needle then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  Alcotest.(check int) "paper written only where set" 1
+    (occurrences "\"paper\"");
+  match Result.bind (Sim.Json.of_string text) Sweep.report_of_json with
+  | Error e -> Alcotest.failf "paper report round-trip failed: %s" e
+  | Ok r -> Alcotest.(check bool) "paper value read back" true (r = with_paper)
 
 let scale_lower_better factor (reports : Sweep.report list) =
   List.map

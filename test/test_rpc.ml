@@ -270,6 +270,55 @@ let test_duplicate_registration_rejected () =
       Hive.Rpc.register echo_op (fun _ _ ~src:_ _ ->
           Hive.Types.Immediate (Ok Hive.Types.P_unit)))
 
+(* 400 null RPCs over a link into the server cell that drops, duplicates
+   and delays 25% of messages each for the whole run (seeded, so
+   deterministic). Retransmission must carry nearly every call through,
+   the reply cache must absorb the duplicates, and no request may run
+   twice. The agreement hint path is detached to isolate the transport. *)
+let test_degraded_link_at_most_once () =
+  register ();
+  let eng = Sim.Engine.create () in
+  let sys = Hive.System.boot ~ncells:2 ~wax:false eng in
+  sys.Hive.Types.on_hint <- None;
+  Flash.Sips.degrade
+    (Flash.Machine.sips sys.Hive.Types.machine)
+    ~rng:(Sim.Prng.create 42)
+    {
+      Flash.Sips.deg_from = -1;
+      deg_to = sys.Hive.Types.cells.(1).Hive.Types.boss_node;
+      from_ns = 0L;
+      until_ns = Int64.max_int;
+      drop_pct = 25;
+      dup_pct = 25;
+      delay_pct = 25;
+      max_delay_ns = 1_000_000L;
+    };
+  let n = 400 in
+  let ok = ref 0 and gave_up = ref 0 in
+  ignore
+    (Sim.Engine.spawn eng ~name:"caller" (fun () ->
+         for _ = 1 to n do
+           match
+             Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1
+               ~op:echo_op ~timeout_ns:2_000_000L Hive.Types.P_unit
+           with
+           | Ok _ -> incr ok
+           | Error _ -> incr gave_up
+         done));
+  Sim.Engine.run ~until:60_000_000_000L eng;
+  let count cell name =
+    Sim.Stats.value sys.Hive.Types.cells.(cell).Hive.Types.counters name
+  in
+  Alcotest.(check int) "every call finished" n (!ok + !gave_up);
+  Alcotest.(check bool) ">= 90% completed" true (!ok >= n * 9 / 10);
+  Alcotest.(check bool) "client retransmitted" true
+    (count 0 "rpc.retransmits" > 0);
+  Alcotest.(check bool) "server suppressed duplicates" true
+    (count 1 "rpc.dup_suppressed" > 0);
+  Alcotest.(check (list string)) "at-most-once audit clean" []
+    (List.map Hive.Invariants.to_string
+       (Hive.Invariants.check_rpc_at_most_once sys))
+
 let suite =
   [
     Alcotest.test_case "echo" `Quick test_echo;
@@ -295,4 +344,6 @@ let suite =
       test_late_reply_after_timeout;
     Alcotest.test_case "duplicate registration rejected" `Quick
       test_duplicate_registration_rejected;
+    Alcotest.test_case "at-most-once over a degraded link" `Quick
+      test_degraded_link_at_most_once;
   ]

@@ -214,7 +214,7 @@ let test_table_7_4_plans () =
   in
   List.iter
     (fun full ->
-      let rows = Bench.Sections.table_7_4_plans ~full in
+      let rows = Bench.Scenarios.table_7_4_plans ~full in
       Alcotest.(check int) "plans" (if full then 69 else 14)
         (List.fold_left (fun n (_, ps) -> n + List.length ps) 0 rows);
       List.iter2
