@@ -169,6 +169,28 @@ let attach_trace sys = function
     Sim.Event.attach sys.Hive.Types.events sink;
     close
 
+(* --verbose: print the kernel's recovery and process instants on stderr,
+   one line each: virtual ms, cell, event name and its args as
+   key=value with JSON values. *)
+let attach_kernel_log sys =
+  let line (e : Sim.Event.t) =
+    let arg (k, v) =
+      " " ^ k ^ "=" ^ Sim.Json.to_string (Sim.Event.value_to_json v)
+    in
+    Printf.eprintf "[%10.3f ms] cell %d %s%s\n%!"
+      (Int64.to_float e.ts /. 1e6) e.cell e.name
+      (String.concat "" (List.map arg e.args))
+  in
+  Sim.Event.attach sys.Hive.Types.events
+    {
+      Sim.Event.emit =
+        (fun e ->
+          match (e.phase, e.cat) with
+          | Sim.Event.Instant, (Sim.Event.Recovery | Sim.Event.Proc) -> line e
+          | _ -> ());
+      flush = (fun () -> ());
+    }
+
 let finish_observability sys ~trace_close ~(output : output) =
   trace_close ();
   let m = Hive.Metrics.capture sys in
@@ -179,8 +201,8 @@ let finish_observability sys ~trace_close ~(output : output) =
 
 let run_workload name shape verbose output =
   with_outputs output @@ fun () ->
-  if verbose then Sim.Trace.set_level Sim.Trace.Info;
   let sys, ncells = boot_shape shape in
+  if verbose then attach_kernel_log sys;
   let trace_close = attach_trace sys output.out_trace in
   let result, _ = setup_and_run sys name in
   Printf.printf "%s on %s (%d cell%s): %.3f s simulated%s\n"
@@ -205,8 +227,8 @@ let run_workload name shape verbose output =
 let run_server shape duration_ms rate zipf churn_pct deadline_ms kill_cell
     kill_at_ms seed verbose output =
   with_outputs output @@ fun () ->
-  if verbose then Sim.Trace.set_level Sim.Trace.Info;
   let sys, ncells = boot_shape shape in
+  if verbose then attach_kernel_log sys;
   let trace_close = attach_trace sys output.out_trace in
   (match kill_cell with
   | Some c when c < 0 || c >= ncells ->
@@ -476,7 +498,10 @@ let run_fuzz seeds seed_base replay shrink_flag out demo_bug dup_bug
 (* ---- cmdliner terms ---- *)
 
 let verbose_arg =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print kernel counters.")
+  Arg.(
+    value & flag
+    & info [ "v"; "verbose" ]
+        ~doc:"Print kernel counters, and recovery and process events on stderr.")
 
 let workload_name =
   Arg.(

@@ -128,7 +128,7 @@ let touch_pages sys ~cell ~path ~npages acc =
           let t0 = Sim.Engine.time () in
           Hive.Syscall.touch sys p ~vpage:(r.Hive.Types.start_page + k)
             ~write:false;
-          Sim.Stats.add_ns acc (Int64.sub (Sim.Engine.time ()) t0)
+          Sim.Stats.add acc (Int64.sub (Sim.Engine.time ()) t0)
         done)
   in
   ignore
@@ -147,7 +147,7 @@ let run_remote_read (dims : dims) =
   let npages = dims.ws_pages in
   let path = Harness.make_warm_file sys ~npages in
   let touch_pass () =
-    let acc = Sim.Stats.summary ~keep_samples:true () in
+    let acc = Sim.Stats.histogram () in
     touch_pages sys ~cell:1 ~path ~npages acc;
     (* Drain the reaper so exit-time releases park their bindings. *)
     Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 100_000_000L) eng;
@@ -933,7 +933,7 @@ let run_pagefault (dims : dims) =
   let npages = dims.ws_pages in
   let path = Harness.make_warm_file sys ~npages in
   let mean_fault_us cell =
-    let acc = Sim.Stats.summary () in
+    let acc = Sim.Stats.histogram () in
     touch_pages sys ~cell ~path ~npages acc;
     Sim.Stats.mean acc /. 1e3
   in
@@ -996,7 +996,7 @@ let writable_pages (dims : dims) =
   let eng, sys = boot_dims dims in
   setup_workload sys dims.workload;
   let samples =
-    Array.map (fun _ -> Sim.Stats.summary ()) sys.Hive.Types.cells
+    Array.map (fun _ -> Sim.Stats.histogram ()) sys.Hive.Types.cells
   in
   ignore
     (Sim.Engine.spawn eng ~name:"sampler" (fun () ->
@@ -1007,7 +1007,7 @@ let writable_pages (dims : dims) =
              (fun i c ->
                if Hive.Types.cell_alive c then
                  Sim.Stats.add samples.(i)
-                   (float_of_int
+                   (Int64.of_int
                       (Hive.Wild_write.remotely_writable_pages sys c)))
              sys.Hive.Types.cells
          done));

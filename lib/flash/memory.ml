@@ -20,7 +20,7 @@ type t = {
   nodes : node_mem array;
   reads : Sim.Stats.counter;
   writes : Sim.Stats.counter;
-  remote_write_miss_ns : Sim.Stats.summary;
+  remote_write_miss_ns : Sim.Stats.histogram;
   wild_writes : Sim.Stats.counter;
 }
 
@@ -37,7 +37,7 @@ let create cfg =
           });
     reads = Sim.Stats.counter ();
     writes = Sim.Stats.counter ();
-    remote_write_miss_ns = Sim.Stats.summary ~keep_samples:false ();
+    remote_write_miss_ns = Sim.Stats.histogram ();
     wild_writes = Sim.Stats.counter ();
   }
 
@@ -124,14 +124,12 @@ let access_cost t ~by ~node ~write bytes =
     in
     let cost = Int64.add base check in
     if node <> by then
-      Sim.Stats.add t.remote_write_miss_ns
-        (Int64.to_float (Int64.div cost (Int64.of_int lines)));
+      Sim.Stats.add t.remote_write_miss_ns (Int64.div cost (Int64.of_int lines));
     cost
   end
   else begin
     if write && node <> by then
-      Sim.Stats.add t.remote_write_miss_ns
-        (Int64.to_float t.cfg.Config.mem_ns);
+      Sim.Stats.add t.remote_write_miss_ns t.cfg.Config.mem_ns;
     base
   end
 

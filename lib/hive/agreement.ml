@@ -139,8 +139,11 @@ let run (sys : Types.system) (accuser : Types.cell) ~suspect ~reason =
     sys.Types.recovery_participants <-
       List.filter (fun id -> id <> suspect) accuser.Types.live_set;
     Types.sys_bump sys "agreement.rounds";
-    Sim.Trace.info sys.Types.eng "agreement: cell %d accuses cell %d (%s)"
-      accuser.Types.cell_id suspect reason;
+    if Sim.Event.enabled sys.Types.events then
+      Sim.Event.instant sys.Types.events ~cell:accuser.Types.cell_id
+        ~args:
+          [ ("suspect", Sim.Event.Int suspect); ("reason", Sim.Event.Str reason) ]
+        ~cat:Sim.Event.Recovery "agreement.accuse";
     Types.note_phase sys ~cell:accuser.Types.cell_id "recovery.agreement";
     Gate.close sys accuser;
     let voters =

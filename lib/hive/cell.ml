@@ -71,8 +71,8 @@ let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
     wax_slot = kmem_base + 8;
     kernel_threads = [];
     counters = Sim.Stats.registry ();
-    fault_in_cache_ns = Sim.Stats.summary ();
-    remote_fault_ns = Sim.Stats.summary ();
+    fault_in_cache_ns = Sim.Stats.histogram ();
+    remote_fault_ns = Sim.Stats.histogram ();
   }
 
 (* Populate the free-frame pool: every owned page except the kernel

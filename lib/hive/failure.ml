@@ -31,9 +31,11 @@ let handle_hint (sys : Types.system) (reporter : Types.cell) ~suspect ~reason =
       && observably_down sys suspect
     then begin
       Types.bump reporter "failure.hints_during_recovery";
-      Sim.Trace.info sys.Types.eng
-        "cell %d suspects cell %d during recovery (%s)"
-        reporter.Types.cell_id suspect reason;
+      if Sim.Event.enabled sys.Types.events then
+        Sim.Event.instant sys.Types.events ~cell:reporter.Types.cell_id
+          ~args:
+            [ ("suspect", Sim.Event.Int suspect); ("reason", Sim.Event.Str reason) ]
+          ~cat:Sim.Event.Recovery "failure.suspect_during_recovery";
       Recovery.cell_died sys suspect
     end
   end
@@ -45,8 +47,11 @@ let handle_hint (sys : Types.system) (reporter : Types.cell) ~suspect ~reason =
     reporter.Types.suspected <- suspect :: reporter.Types.suspected;
     Types.bump reporter "failure.hints";
     Types.note_phase sys ~cell:reporter.Types.cell_id "recovery.hint";
-    Sim.Trace.info sys.Types.eng "cell %d suspects cell %d (%s)"
-      reporter.Types.cell_id suspect reason;
+    if Sim.Event.enabled sys.Types.events then
+      Sim.Event.instant sys.Types.events ~cell:reporter.Types.cell_id
+        ~args:
+          [ ("suspect", Sim.Event.Int suspect); ("reason", Sim.Event.Str reason) ]
+        ~cat:Sim.Event.Recovery "failure.suspect";
     (* Run agreement from a fresh kernel thread: hints fire from fault
        paths and interrupt handlers that must not block for milliseconds. *)
     let thr =

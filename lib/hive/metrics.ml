@@ -66,28 +66,8 @@ module Snapshot = struct
 
   let op_hist t name = List.assoc_opt name t.ops
 
-  (* Estimate an arbitrary quantile from the exported log-scale buckets.
-     Within the bucket holding the target rank we interpolate linearly;
-     the coarse bucket bounds make this an estimate, so the summary
-     percentiles (sample-based) are preferred when one of them matches. *)
   let hist_quantile (h : hist) q =
-    if h.count = 0 then 0.
-    else if q <= 0. then h.min_ns
-    else if q >= 100. then h.max_ns
-    else begin
-      let target = q /. 100. *. float_of_int h.count in
-      let rec go seen = function
-        | [] -> h.max_ns
-        | (lo, hi, n) :: rest ->
-          let seen' = seen +. float_of_int n in
-          if seen' >= target then
-            let frac = (target -. seen) /. float_of_int n in
-            let lo = Int64.to_float lo and hi = Int64.to_float hi in
-            Float.min h.max_ns (Float.max h.min_ns (lo +. (frac *. (hi -. lo))))
-          else go seen' rest
-      in
-      go 0. h.buckets
-    end
+    Sim.Stats.quantile ~count:h.count ~min:h.min_ns ~max:h.max_ns h.buckets q
 
   (* ---------- to JSON ---------- *)
 
@@ -314,32 +294,21 @@ end
 (* ---------- capture ---------- *)
 
 let hist_of_stats (h : Sim.Stats.histogram) : Snapshot.hist =
-  let n = Sim.Stats.hist_count h in
-  if n = 0 then
-    {
-      count = 0;
-      mean_ns = 0.;
-      min_ns = 0.;
-      max_ns = 0.;
-      p50_ns = 0.;
-      p95_ns = 0.;
-      p99_ns = 0.;
-      p999_ns = 0.;
-      buckets = [];
-    }
-  else
-    let p q = Sim.Stats.hist_percentile h q in
-    {
-      count = n;
-      mean_ns = Sim.Stats.hist_mean h;
-      min_ns = Sim.Stats.hist_min h;
-      max_ns = Sim.Stats.hist_max h;
-      p50_ns = p 50.;
-      p95_ns = p 95.;
-      p99_ns = p 99.;
-      p999_ns = p 99.9;
-      buckets = Sim.Stats.hist_nonempty h;
-    }
+  let count = Sim.Stats.count h in
+  let min_ns = Sim.Stats.min_value h and max_ns = Sim.Stats.max_value h in
+  let buckets = Sim.Stats.buckets h in
+  let p = Sim.Stats.quantile ~count ~min:min_ns ~max:max_ns buckets in
+  {
+    count;
+    mean_ns = Sim.Stats.mean h;
+    min_ns;
+    max_ns;
+    p50_ns = p 50.;
+    p95_ns = p 95.;
+    p99_ns = p 99.;
+    p999_ns = p 99.9;
+    buckets;
+  }
 
 (* Histogram tables keyed by op name, sorted for stable output. *)
 let sorted_hists tbl =

@@ -11,8 +11,9 @@
     counters. *)
 
 module Snapshot : sig
-  (** Exported view of one latency histogram: summary percentiles plus
-      the non-empty log-scale buckets [(lo_ns, hi_ns, count)]. All float
+  (** Exported view of one {!Sim.Stats.histogram}: exact count, mean,
+      min and max, the percentiles by the {!Sim.Stats.quantile} rule, and
+      the non-empty log-linear buckets [(lo_ns, hi_ns, count)]. All float
       fields are [0.] when [count = 0]. *)
   type hist = {
     count : int;
@@ -71,11 +72,10 @@ module Snapshot : sig
   (** End-to-end op histogram by ["class|phase"] key, if recorded. *)
   val op_hist : t -> string -> hist option
 
-  (** [hist_quantile h q] estimates the [q]-th percentile (0..100) from
-      the exported log-scale buckets with linear interpolation inside
-      the target bucket, clamped to [min_ns, max_ns]. The summary fields
-      (sample-based) are more accurate where they exist; this covers
-      arbitrary quantiles of an already-serialized histogram. *)
+  (** [hist_quantile h q] is the [q]-th percentile (0..100) of [h] by
+      the {!Sim.Stats.quantile} rule over [h.buckets], so it equals the
+      live histogram's {!Sim.Stats.percentile} and stays within 1/64 of
+      the exact value. [h] may be several histograms' buckets merged. *)
   val hist_quantile : hist -> float -> float
 
   val to_json : t -> Sim.Json.t
@@ -87,6 +87,10 @@ module Snapshot : sig
 
   val of_string : string -> (t, string) result
 end
+
+(** Export one live histogram; its percentiles equal
+    {!Sim.Stats.percentile} of [h]. *)
+val hist_of_stats : Sim.Stats.histogram -> Snapshot.hist
 
 (** Freeze a snapshot of a live system. *)
 val capture : Types.system -> Snapshot.t

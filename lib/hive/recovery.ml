@@ -112,8 +112,10 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
         else 0
       in
       note "recovery.discard";
-      Sim.Trace.info eng "cell %d recovery: discarded %d pages" c.Types.cell_id
-        discarded;
+      if Sim.Event.enabled sys.Types.events then
+        Sim.Event.instant sys.Types.events ~cell:c.Types.cell_id
+          ~args:[ ("pages", Sim.Event.Int discarded) ]
+          ~cat:Sim.Event.Recovery "recovery.discarded";
       (* Kill processes that depended on resources of the failed cells. *)
       List.iter
         (fun (proc : Types.process) ->
@@ -334,10 +336,10 @@ let cell_died (sys : Types.system) id =
     sys.Types.recovery_round <- sys.Types.recovery_round + 1;
     Types.sys_bump sys "recovery.round_restarts";
     Types.note_phase sys ~cell:id "recovery.restart";
-    Sim.Trace.info eng
-      "cell %d died during recovery round %d: restarting with enlarged dead \
-       set"
-      id sys.Types.recovery_round;
+    if Sim.Event.enabled sys.Types.events then
+      Sim.Event.instant sys.Types.events ~cell:id
+        ~args:[ ("round", Sim.Event.Int sys.Types.recovery_round) ]
+        ~cat:Sim.Event.Recovery "recovery.died_mid_round";
     (* Restart among the cells already in the round: a live cell outside
        the old participant set (e.g. on the far side of a partition) must
        not be counted into barriers it will never reach. *)

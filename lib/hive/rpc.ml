@@ -232,7 +232,7 @@ let service_request (sys : Types.system) (server : Types.cell) env =
             ~cat:Sim.Event.Rpc ("rpc.serve:" ^ op) f
         else f ()
       in
-      Sim.Stats.hist_add
+      Sim.Stats.add
         (Types.hist_for sys.Types.rpc_server_ns op)
         (Int64.sub (Sim.Engine.now sys.Types.eng) t0);
       result
@@ -299,7 +299,7 @@ let service_request (sys : Types.system) (server : Types.cell) env =
             (* Interrupt-level service: record the handler time and mark it
                as an instant (it never blocks, unlike queued spans). *)
             let dt = Int64.sub (Sim.Engine.now sys.Types.eng) t0 in
-            Sim.Stats.hist_add (Types.hist_for sys.Types.rpc_server_ns op) dt;
+            Sim.Stats.add (Types.hist_for sys.Types.rpc_server_ns op) dt;
             if Sim.Event.enabled sys.Types.events then
               Sim.Event.instant sys.Types.events ~cell:server.Types.cell_id
                 ~args:
@@ -496,7 +496,7 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
   (* Record the whole-call latency the client observed, on every exit
      path; the enclosing span closes even if the thread is killed. *)
   let finish outcome =
-    Sim.Stats.hist_add
+    Sim.Stats.add
       (Types.hist_for sys.Types.rpc_client_ns op_name)
       (Int64.sub (Sim.Engine.now eng) t0);
     outcome

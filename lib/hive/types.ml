@@ -321,8 +321,8 @@ type cell = {
   (* threads owned by this kernel, killed on panic *)
   mutable kernel_threads : Sim.Engine.thread list;
   counters : Sim.Stats.registry;
-  fault_in_cache_ns : Sim.Stats.summary;
-  remote_fault_ns : Sim.Stats.summary;
+  fault_in_cache_ns : Sim.Stats.histogram;
+  remote_fault_ns : Sim.Stats.histogram;
 }
 
 (* The whole Hive system: machine + cells + global configuration. *)

@@ -192,8 +192,8 @@ let fault (sys : Types.system) (p : Types.process) ~vpage ~write =
       | Some home -> note_dependency p home
       | None -> ());
       let dt = Int64.sub (Sim.Engine.time ()) t0 in
-      if remote then Sim.Stats.add_ns c.Types.remote_fault_ns dt
-      else Sim.Stats.add_ns c.Types.fault_in_cache_ns dt;
+      if remote then Sim.Stats.add c.Types.remote_fault_ns dt
+      else Sim.Stats.add c.Types.fault_in_cache_ns dt;
       Ok ()
     in
     match r.Types.kind with

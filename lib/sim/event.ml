@@ -4,8 +4,8 @@
    *instants* (point events) stamped with the virtual clock; each event
    carries a category, the owning cell, the emitting simulation thread and
    a list of key/value fields. Events flow to pluggable sinks: an
-   in-memory ring buffer (tests, post-mortem), a JSONL stream, and a
-   Chrome `trace_event` file loadable in chrome://tracing / Perfetto.
+   in-memory ring buffer (tests, post-mortem) and a Chrome `trace_event`
+   file loadable in chrome://tracing / Perfetto, written through [Json].
 
    Emission is free when no sink is attached (a single list check), so
    instrumentation can stay on hot paths unconditionally. *)
@@ -140,84 +140,31 @@ let ring_contents r =
 
 let ring_total r = r.rcount
 
-(* ---------- JSON helpers (shared by the file sinks) ---------- *)
+(* ---------- JSON, through [Json] ---------- *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+let value_to_json = function
+  | Int i -> Json.Int (Int64.of_int i)
+  | I64 i -> Json.Int i
+  | Float f -> Json.Float f
+  | Str s -> Json.Str s
+  | Bool b -> Json.Bool b
 
-let json_value b = function
-  | Int i -> Buffer.add_string b (string_of_int i)
-  | I64 i -> Buffer.add_string b (Int64.to_string i)
-  | Float f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string b (Printf.sprintf "%.0f" f)
-    else Buffer.add_string b (Printf.sprintf "%g" f)
-  | Str s ->
-    Buffer.add_char b '"';
-    json_escape b s;
-    Buffer.add_char b '"'
-  | Bool v -> Buffer.add_string b (if v then "true" else "false")
-
-let json_args b args =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      json_escape b k;
-      Buffer.add_string b "\":";
-      json_value b v)
-    args;
-  Buffer.add_char b '}'
-
-(* One event as a Chrome trace_event JSON object. [ts] is microseconds;
-   pid is the cell (so each cell gets its own track group) and tid the
+(* One event as a Chrome trace_event object. [ts] is microseconds; pid
+   is the cell (so each cell gets its own track group) and tid the
    simulation thread, which makes B/E pairs nest correctly. *)
 let event_to_json e =
-  let b = Buffer.create 160 in
-  Buffer.add_string b "{\"name\":\"";
-  json_escape b e.name;
-  Buffer.add_string b "\",\"cat\":\"";
-  Buffer.add_string b (category_to_string e.cat);
-  Buffer.add_string b "\",\"ph\":\"";
-  Buffer.add_string b (phase_to_string e.phase);
-  Buffer.add_string b "\",\"ts\":";
-  Buffer.add_string b (Printf.sprintf "%.3f" (Int64.to_float e.ts /. 1e3));
-  (match e.phase with
-  | Instant -> Buffer.add_string b ",\"s\":\"t\""
-  | Begin | End | Counter -> ());
-  Buffer.add_string b ",\"pid\":";
-  Buffer.add_string b (string_of_int (if e.cell < 0 then 999 else e.cell));
-  Buffer.add_string b ",\"tid\":";
-  Buffer.add_string b (string_of_int e.tid);
-  if e.args <> [] then begin
-    Buffer.add_string b ",\"args\":";
-    json_args b e.args
-  end;
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-(* ---------- JSONL sink: one JSON object per line ---------- *)
-
-let jsonl_sink oc =
-  {
-    emit =
-      (fun e ->
-        output_string oc (event_to_json e);
-        output_char oc '\n');
-    flush = (fun () -> Stdlib.flush oc);
-  }
+  let int i = Json.Int (Int64.of_int i) in
+  Json.Obj
+    ([ ("name", Json.Str e.name);
+       ("cat", Json.Str (category_to_string e.cat));
+       ("ph", Json.Str (phase_to_string e.phase));
+       ("ts", Json.Float (Int64.to_float e.ts /. 1e3)) ]
+    @ (if e.phase = Instant then [ ("s", Json.Str "t") ] else [])
+    @ [ ("pid", int (if e.cell < 0 then 999 else e.cell)); ("tid", int e.tid) ]
+    @
+    if e.args = [] then []
+    else
+      [ ("args", Json.Obj (List.map (fun (k, v) -> (k, value_to_json v)) e.args)) ])
 
 (* ---------- Chrome trace_event sink: a JSON array ---------- *)
 
@@ -237,7 +184,7 @@ let chrome_sink oc =
       emit =
         (fun e ->
           if !first then first := false else output_string oc ",\n";
-          output_string oc (event_to_json e));
+          output_string oc (Json.to_string (event_to_json e)));
       flush = (fun () -> Stdlib.flush oc);
     }
   in
@@ -257,7 +204,3 @@ let chrome_file path =
     close_out oc
   in
   (sink, close)
-
-let jsonl_file path =
-  let oc = open_out path in
-  (jsonl_sink oc, fun () -> close_out oc)

@@ -1,139 +1,120 @@
-(* Streaming statistics: bounded-reservoir summaries, log-bucket latency
-   histograms, and named counters.
+(* Streaming statistics: one log-linear latency histogram and named
+   counters.
 
-   Summaries keep exact count/sum/min/max and a fixed-size reservoir of
-   samples for percentile estimation, so memory stays bounded however long
-   a run gets. The sorted view of the reservoir is cached between [add]s,
-   making repeated percentile queries cheap. *)
+   The histogram keeps count, sum, min and max exactly, plus one fixed
+   array of bucket counts. Every value below 64 gets a bucket of its own;
+   above that, every power of two [2^e, 2^(e+1)) is cut into 32 equal
+   sub-buckets of width 2^(e-5), so a bucket is never wider than 1/32 of
+   its lower bound. Values at or above 2^40 share the last bucket. *)
 
-let reservoir_capacity = 4096
+let sub_bits = 5
 
-type summary = {
+let sub = 1 lsl sub_bits
+
+let cap_bits = 40
+
+(* 1152 buckets: one per value below 64, then 32 per power of two from
+   2^6 up to 2^40. *)
+let nbuckets = (cap_bits - sub_bits + 1) lsl sub_bits
+
+type histogram = {
   mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
-  reservoir : float array; (* first [filled] slots are valid *)
-  mutable filled : int;
-  mutable sorted : float array option; (* cache, invalidated by add *)
-  mutable rng : int; (* private LCG state for reservoir replacement *)
-  keep_samples : bool;
+  mutable sum : int;
+  mutable min_v : int;
+  mutable max_v : int;
+  buckets : int array;
 }
 
-let summary ?(keep_samples = true) () =
+let histogram () =
   {
     count = 0;
-    sum = 0.;
-    min_v = infinity;
-    max_v = neg_infinity;
-    reservoir = (if keep_samples then Array.make reservoir_capacity 0. else [||]);
-    filled = 0;
-    sorted = None;
-    rng = 0x9e3779b9;
-    keep_samples;
+    sum = 0;
+    min_v = max_int;
+    max_v = min_int;
+    buckets = Array.make nbuckets 0;
   }
 
-(* Deterministic LCG (Numerical Recipes constants), masked to 62 bits. *)
-let next_rng s =
-  s.rng <- ((s.rng * 1664525) + 1013904223) land 0x3FFFFFFFFFFFFFF;
-  s.rng
+(* Position of the highest set bit of [v > 0], in six fixed steps. *)
+let msb v =
+  let n = ref 0 and v = ref v in
+  if !v lsr 32 <> 0 then (n := !n + 32; v := !v lsr 32);
+  if !v lsr 16 <> 0 then (n := !n + 16; v := !v lsr 16);
+  if !v lsr 8 <> 0 then (n := !n + 8; v := !v lsr 8);
+  if !v lsr 4 <> 0 then (n := !n + 4; v := !v lsr 4);
+  if !v lsr 2 <> 0 then (n := !n + 2; v := !v lsr 2);
+  if !v lsr 1 <> 0 then n := !n + 1;
+  !n
 
-let add s x =
-  s.count <- s.count + 1;
-  s.sum <- s.sum +. x;
-  if x < s.min_v then s.min_v <- x;
-  if x > s.max_v then s.max_v <- x;
-  if s.keep_samples then begin
-    if s.filled < reservoir_capacity then begin
-      s.reservoir.(s.filled) <- x;
-      s.filled <- s.filled + 1;
-      s.sorted <- None
-    end
-    else begin
-      (* Vitter's algorithm R: keep each of the [count] samples with
-         equal probability capacity/count. *)
-      let j = next_rng s mod s.count in
-      if j < reservoir_capacity then begin
-        s.reservoir.(j) <- x;
-        s.sorted <- None
-      end
-    end
-  end
-
-let add_ns s ns = add s (Int64.to_float ns)
-
-let count s = s.count
-
-let sum s = s.sum
-
-let mean s = if s.count = 0 then 0. else s.sum /. float_of_int s.count
-
-let min_value s = if s.count = 0 then 0. else s.min_v
-
-let max_value s = if s.count = 0 then 0. else s.max_v
-
-let sorted_samples s =
-  match s.sorted with
-  | Some arr -> arr
-  | None ->
-    let arr = Array.sub s.reservoir 0 s.filled in
-    Array.sort compare arr;
-    s.sorted <- Some arr;
-    arr
-
-let percentile s p =
-  if not s.keep_samples then invalid_arg "Stats.percentile: samples not kept";
-  let arr = sorted_samples s in
-  let n = Array.length arr in
-  if n = 0 then 0.
+(* For [v >= sub] with top bit [e], the shift [s = e - 5] leaves
+   [v lsr s] in [[32, 64)]; [(s lsl 5) + (v lsr s)] is then contiguous
+   with the exact buckets below and grows by 32 per power of two. *)
+let bucket_of v =
+  if v < sub then max 0 v
+  else if v lsr cap_bits <> 0 then nbuckets - 1
   else
-    let idx = int_of_float ((p /. 100. *. float_of_int (n - 1)) +. 0.5) in
-    arr.(max 0 (min (n - 1) idx))
+    let s = msb v - sub_bits in
+    (s lsl sub_bits) + (v lsr s)
 
-(* ---------- Log-bucket latency histograms ----------
-
-   Fixed power-of-two buckets (bucket i covers [2^i, 2^(i+1)) ns) give a
-   compact, mergeable shape for export, while the embedded summary's
-   reservoir provides accurate p50/p95/p99. *)
-
-let hist_buckets_n = 64
-
-type histogram = { hsummary : summary; buckets : int array }
-
-let histogram () =
-  { hsummary = summary (); buckets = Array.make hist_buckets_n 0 }
-
-let bucket_of_ns ns =
-  if Int64.compare ns 1L <= 0 then 0
+(* Bucket [i] covers [[lo, hi)] ns. *)
+let bucket_bounds i =
+  if i < sub then (i, i + 1)
   else
-    let rec log2 acc v = if Int64.compare v 1L <= 0 then acc else log2 (acc + 1) (Int64.shift_right_logical v 1) in
-    min (hist_buckets_n - 1) (log2 0 ns)
+    let s = (i lsr sub_bits) - 1 and m = i land (sub - 1) + sub in
+    (m lsl s, (m + 1) lsl s)
 
-let hist_add h ns =
-  add_ns h.hsummary ns;
-  let i = bucket_of_ns ns in
+let add h ns =
+  let v = Int64.to_int ns in
+  h.count <- h.count + 1;
+  h.sum <- h.sum + v;
+  if v < h.min_v then h.min_v <- v;
+  if v > h.max_v then h.max_v <- v;
+  let i = bucket_of v in
   h.buckets.(i) <- h.buckets.(i) + 1
 
-let hist_count h = h.hsummary.count
+let count h = h.count
 
-let hist_mean h = mean h.hsummary
+let sum h = float_of_int h.sum
 
-let hist_min h = min_value h.hsummary
+let mean h =
+  if h.count = 0 then 0. else float_of_int h.sum /. float_of_int h.count
 
-let hist_max h = max_value h.hsummary
+let min_value h = if h.count = 0 then 0. else float_of_int h.min_v
 
-let hist_percentile h p = percentile h.hsummary p
+let max_value h = if h.count = 0 then 0. else float_of_int h.max_v
 
-(* Non-empty buckets as (lo_ns, hi_ns, count), ascending. *)
-let hist_nonempty h =
+let buckets h =
   let out = ref [] in
-  for i = hist_buckets_n - 1 downto 0 do
+  for i = nbuckets - 1 downto 0 do
     if h.buckets.(i) > 0 then
-      let lo = if i = 0 then 0L else Int64.shift_left 1L i in
-      let hi = Int64.shift_left 1L (i + 1) in
-      out := (lo, hi, h.buckets.(i)) :: !out
+      let lo, hi = bucket_bounds i in
+      out := (Int64.of_int lo, Int64.of_int hi, h.buckets.(i)) :: !out
   done;
   !out
+
+(* The one quantile rule. The nearest rank [round(p/100 * (n-1))] of
+   the sorted samples is located in the buckets; ranks 0 and n-1 are the
+   exact min and max, any other rank reports the middle of its bucket's
+   integer range, clamped to [[min, max]]. *)
+let quantile ~count ~min ~max bucket_list p =
+  if count = 0 then 0.
+  else
+    let r = int_of_float ((p /. 100. *. float_of_int (count - 1)) +. 0.5) in
+    let r = Int.max 0 (Int.min (count - 1) r) in
+    if r = 0 then min
+    else if r = count - 1 then max
+    else
+      let rec go seen = function
+        | [] -> max
+        | (lo, hi, n) :: rest ->
+          if seen + n > r then
+            let mid = (Int64.to_float lo +. Int64.to_float hi -. 1.) /. 2. in
+            Float.min max (Float.max min mid)
+          else go (seen + n) rest
+      in
+      go 0 bucket_list
+
+let percentile h p =
+  quantile ~count:h.count ~min:(min_value h) ~max:(max_value h) (buckets h) p
 
 type counter = { mutable n : int }
 
@@ -144,8 +125,6 @@ let incr c = c.n <- c.n + 1
 let incr_by c k = c.n <- c.n + k
 
 let get c = c.n
-
-let reset c = c.n <- 0
 
 (* A set of named counters, used by cells and benches for event accounting. *)
 type registry = (string, counter) Hashtbl.t

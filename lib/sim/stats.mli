@@ -1,60 +1,57 @@
-(** Measurement helpers: scalar summaries, counters and named-counter
-    registries, shared by the kernel instrumentation and the benches. *)
-
-(** Running summary of a series of observations. *)
-type summary
-
-(** [keep_samples] (default true) retains a bounded reservoir of
-    observations so percentiles can be computed; memory stays fixed no
-    matter how many samples are added. Disable to skip the reservoir. *)
-val summary : ?keep_samples:bool -> unit -> summary
-
-val add : summary -> float -> unit
-
-(** Record a nanosecond duration. *)
-val add_ns : summary -> int64 -> unit
-
-val count : summary -> int
-
-val sum : summary -> float
-
-val mean : summary -> float
-
-val min_value : summary -> float
-
-val max_value : summary -> float
-
-(** [percentile s 50.] is the median, estimated from the reservoir.
-    Requires [keep_samples]. The sorted view is cached between adds, so
-    repeated queries are cheap. *)
-val percentile : summary -> float -> float
+(** Measurement helpers: one latency histogram, counters and
+    named-counter registries, shared by the kernel instrumentation and the
+    benches. *)
 
 (** {2 Latency histograms}
 
-    A log-bucket histogram over nanosecond durations: fixed power-of-two
-    buckets for a compact exportable shape, plus an embedded reservoir
-    summary for accurate percentiles. *)
+    A log-linear histogram over nanosecond values. Count, sum, min and
+    max are exact. Every value below 64 ns has a bucket of its own; above
+    that each power of two is split into 32 equal sub-buckets, up to
+    2{^40} ns (about 18 minutes). Values at or above 2{^40} ns share the
+    last bucket. The bucket array is fixed (1152 ints), however many
+    values are added, and the bucket index is found in constant time.
+
+    {b Quantile rule and error bound.} [percentile] and [quantile] pick
+    the nearest rank [r = round(p/100 * (n-1))] of the [n] values. Rank 0
+    is the exact min and rank [n-1] the exact max. Any other rank reports
+    the middle of the integer range of the bucket that holds it, clamped
+    to [[min, max]]. For values below 2{^40} ns the estimate is therefore
+    within 1/64 of the exact nearest-rank value (half a sub-bucket, inside
+    the 1/32 sub-bucket width). Values below 64 ns and a constant series
+    are exact. Bucket lists of histograms can be merged by adding the
+    counts of equal buckets, and the rule gives the same bound over the
+    merged list. *)
 
 type histogram
 
 val histogram : unit -> histogram
 
-val hist_add : histogram -> int64 -> unit
+(** Record a nanosecond value. *)
+val add : histogram -> int64 -> unit
 
-val hist_count : histogram -> int
+val count : histogram -> int
 
-val hist_mean : histogram -> float
+val sum : histogram -> float
 
-val hist_min : histogram -> float
+(** 0 when empty, as are [min_value] and [max_value]. *)
+val mean : histogram -> float
 
-val hist_max : histogram -> float
+val min_value : histogram -> float
 
-(** [hist_percentile h 99.] estimates p99 in nanoseconds. *)
-val hist_percentile : histogram -> float -> float
+val max_value : histogram -> float
 
-(** Non-empty buckets as [(lo_ns, hi_ns, count)], ascending; bucket
-    [i > 0] covers durations in [[2^i, 2^(i+1))] ns. *)
-val hist_nonempty : histogram -> (int64 * int64 * int) list
+(** Non-empty buckets as [(lo_ns, hi_ns, count)], ascending; a bucket
+    holds the values in [[lo_ns, hi_ns)]. *)
+val buckets : histogram -> (int64 * int64 * int) list
+
+(** [percentile h 99.] is p99 in nanoseconds, by the rule above; 0 when
+    [h] is empty. Equal to [quantile] over [h]'s own [buckets]. *)
+val percentile : histogram -> float -> float
+
+(** The same rule over an exported or merged bucket list with its total
+    [count] and exact [min] and [max]. *)
+val quantile :
+  count:int -> min:float -> max:float -> (int64 * int64 * int) list -> float -> float
 
 type counter
 
@@ -65,8 +62,6 @@ val incr : counter -> unit
 val incr_by : counter -> int -> unit
 
 val get : counter -> int
-
-val reset : counter -> unit
 
 (** Named counters for kernel event accounting. *)
 type registry

@@ -404,7 +404,7 @@ let finalize st (sys : Hive.Types.system) =
   List.iter
     (fun r ->
       let key = r.r_klass ^ "|" ^ phase_of st r.r_arrival in
-      Sim.Stats.hist_add
+      Sim.Stats.add
         (Hive.Types.hist_for sys.Hive.Types.op_ns key)
         r.r_latency)
     st.recs
