@@ -1,17 +1,17 @@
 (* Benchmark driver. Two modes:
 
      main sweep [OPTIONS]            dimensional scenario sweep (Bench.Sweep)
-     main diff [OPTIONS]             regression gate vs a committed trajectory
+     main diff [OPTIONS]             exact gate vs a committed trajectory
 
    The sweep emits one deterministic BENCH_<area>.json per area (the
    paper's tables are area [paper]); diff compares two sweep directories
-   and exits non-zero past the regression threshold. *)
+   and exits non-zero on any changed, added or removed row or metric. *)
 
 let usage () =
   Bench.Scenarios.register ();
   prerr_endline
     "usage: main sweep [--quick] [--areas A,B] [--out-dir DIR]\n\
-    \       main diff --baseline DIR --fresh DIR [--threshold PCT]";
+    \       main diff --baseline DIR --fresh DIR";
   Printf.eprintf "\nsweep areas: %s\n"
     (String.concat ", " (Bench.Scenario.areas ()))
 
@@ -63,7 +63,6 @@ let run_sweep args =
 let run_diff args =
   let baseline = ref None in
   let fresh = ref None in
-  let threshold = ref Bench.Diff.default_threshold in
   let rec parse = function
     | [] -> Ok ()
     | "--baseline" :: v :: rest ->
@@ -72,12 +71,6 @@ let run_diff args =
     | "--fresh" :: v :: rest ->
       fresh := Some v;
       parse rest
-    | "--threshold" :: v :: rest -> (
-      match float_of_string_opt v with
-      | Some t when t > 0. ->
-        threshold := t /. 100.;
-        parse rest
-      | _ -> Error ("--threshold " ^ v))
     | a :: _ -> Error a
   in
   match (parse args, !baseline, !fresh) with
@@ -85,7 +78,7 @@ let run_diff args =
     Printf.eprintf "diff: bad argument %s\n" a;
     2
   | Ok (), Some baseline_dir, Some fresh_dir ->
-    Bench.Diff.run_dirs ~threshold:!threshold ~baseline_dir ~fresh_dir ()
+    Bench.Diff.run_dirs ~baseline_dir ~fresh_dir
   | Ok (), _, _ ->
     prerr_endline "diff: both --baseline DIR and --fresh DIR are required";
     2

@@ -3,17 +3,15 @@
      hive_sim workload pmake --cells 4
      hive_sim workload ocean --cells 1 --smp
      hive_sim fault node --cells 4 --node 2 --at-ms 300
-     hive_sim fault corrupt-cow --cells 4 --victim 1
-     hive_sim sweep --areas sharing --quick
-     hive_sim sweep pmake --cells 2 *)
+     hive_sim fault corrupt-cow --cells 4 --victim 1 *)
 
 open Cmdliner
 
 (* ---- shared machine-shape and output terms ----
 
-   Every subcommand that boots a system (or filters sweep rows) takes the
-   same four shape flags; every subcommand that can emit observability
-   artifacts takes the same two output flags. *)
+   Every subcommand that boots a system takes the same four shape flags;
+   every subcommand that can emit observability artifacts takes the same
+   two output flags. *)
 
 type shape = {
   sh_cells : int option;
@@ -30,26 +28,20 @@ let shape_term =
       value
       & opt (some int) None
       & info [ "cells" ] ~docv:"N"
-          ~doc:
-            "Number of cells (default 4). In sweep mode: keep only grid \
-             rows with $(docv) cells.")
+          ~doc:"Number of cells (default 4).")
   in
   let nodes =
     Arg.(
       value
       & opt (some int) None
       & info [ "nodes" ] ~docv:"N"
-          ~doc:
-            "Number of nodes (default: the stock machine). In sweep mode: \
-             keep only grid rows with $(docv) nodes.")
+          ~doc:"Number of nodes (default: the stock machine).")
   in
   let smp =
     Arg.(
       value & flag
       & info [ "smp" ]
-          ~doc:
-            "Run the SMP-OS baseline (one kernel, firewall disabled). In \
-             sweep mode: keep only SMP-baseline rows.")
+          ~doc:"Run the SMP-OS baseline (one kernel, firewall disabled).")
   in
   let no_import_cache =
     Arg.(
@@ -58,8 +50,7 @@ let shape_term =
           ~doc:
             "Run with the legacy sharing protocol: no remote-page import \
              cache, no fault read-ahead, one share.release RPC per page. \
-             Useful as the A side of an A/B against the default protocol. \
-             In sweep mode: keep only legacy-protocol rows.")
+             Useful as the A side of an A/B against the default protocol.")
   in
   Term.(
     const (fun sh_cells sh_nodes sh_smp sh_no_import_cache ->
@@ -260,50 +251,6 @@ let run_server shape duration_ms rate zipf churn_pct deadline_ms kill_cell
   if verbose then print_counters sys;
   finish_observability sys ~trace_close ~output;
   if result.Workloads.Workload.completed then 0 else 1
-
-(* ---- sweep command: thin wrapper over the Bench.Sweep registry ---- *)
-
-let run_sweep workload shape areas quick out_dir =
-  Bench.Scenarios.register ();
-  let known = Bench.Scenario.areas () in
-  let bad =
-    match areas with
-    | None -> []
-    | Some l -> List.filter (fun a -> not (List.mem a known)) l
-  in
-  if bad <> [] then begin
-    Printf.eprintf "sweep: unknown area(s) %s (have: %s)\n"
-      (String.concat ", " bad)
-      (String.concat ", " known);
-    2
-  end
-  else begin
-    let dims_filter (d : Bench.Scenario.dims) =
-      (match workload with
-      | None -> true
-      | Some w -> d.Bench.Scenario.workload = w)
-      && (match shape.sh_cells with
-         | None -> true
-         | Some n -> d.Bench.Scenario.cells = n)
-      && (match shape.sh_nodes with
-         | None -> true
-         | Some n -> d.Bench.Scenario.nodes = n)
-      && ((not shape.sh_smp) || d.Bench.Scenario.smp)
-      && ((not shape.sh_no_import_cache)
-         || not d.Bench.Scenario.import_cache)
-    in
-    let reports = Bench.Sweep.run ?areas ~quick ~dims_filter () in
-    (match out_dir with
-    | None -> ()
-    | Some dir ->
-      let written = Bench.Sweep.write_dir ~dir reports in
-      List.iter (fun p -> Printf.printf "wrote %s\n" p) written);
-    if List.for_all (fun r -> r.Bench.Sweep.a_rows = []) reports then begin
-      Printf.eprintf "sweep: no grid rows matched the given filters\n";
-      1
-    end
-    else 0
-  end
 
 (* ---- fault command: a one-plan experiment ---- *)
 
@@ -515,49 +462,6 @@ let workload_cmd =
     Term.(
       const run_workload $ workload_name $ shape_term $ verbose_arg
       $ output_term)
-
-let sweep_workload =
-  Arg.(
-    value
-    & pos 0 (some string) None
-    & info [] ~docv:"WORKLOAD"
-        ~doc:
-          "Optional workload filter: keep only grid rows of this workload \
-           (e.g. pmake, ocean, raytrace, rpc, read).")
-
-let areas_arg =
-  Arg.(
-    value
-    & opt (some (list string)) None
-    & info [ "areas" ] ~docv:"A,B"
-        ~doc:"Restrict the sweep to the named benchmark areas.")
-
-let quick_arg =
-  Arg.(
-    value & flag
-    & info [ "quick" ]
-        ~doc:
-          "Run each scenario's reduced grid (the subset CI exercises) \
-           instead of the full grid.")
-
-let out_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out-dir" ] ~docv:"DIR"
-        ~doc:"Write one BENCH_<area>.json per area into $(docv).")
-
-let sweep_cmd =
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "Run the registered benchmark scenarios across their dimension \
-          grids (workload x cells x nodes x working set x link degradation \
-          x import cache) and optionally emit the deterministic \
-          BENCH_<area>.json trajectory files.")
-    Term.(
-      const run_sweep $ sweep_workload $ shape_term $ areas_arg $ quick_arg
-      $ out_dir_arg)
 
 let fault_kind =
   Arg.(
@@ -797,6 +701,6 @@ let main =
   Cmd.group
     (Cmd.info "hive_sim" ~version:"1.0"
        ~doc:"Simulated Hive multicellular OS on a FLASH machine model.")
-    [ workload_cmd; server_cmd; sweep_cmd; fault_cmd; fuzz_cmd ]
+    [ workload_cmd; server_cmd; fault_cmd; fuzz_cmd ]
 
 let () = exit (Cmd.eval' main)

@@ -1,180 +1,164 @@
-(* Trajectory regression gate: see the .mli. *)
+(* Exact trajectory gate: see the .mli. *)
+
+type change =
+  | New_row
+  | Added of Scenario.metric
+  | Removed of Scenario.metric
+  | Changed of { committed : Scenario.metric; fresh : Scenario.metric }
 
 type finding = {
   f_area : string;
   f_scenario : string;
   f_dims : Scenario.dims;
-  f_metric : string;
-  f_baseline : float;
-  f_fresh : float;
-  f_change_pct : float;
+  f_change : change;
 }
 
-type verdict = {
-  regressions : finding list;
-  improvements : finding list;
-  notes : string list;
-  compared : int;
-}
+type verdict = { changes : finding list; compared : int; skipped : int }
 
-let default_threshold = 0.20
+let find_row rows (row : Sweep.row) =
+  List.find_opt
+    (fun (r : Sweep.row) ->
+      r.Sweep.r_scenario = row.Sweep.r_scenario
+      && r.Sweep.r_dims = row.Sweep.r_dims)
+    rows
 
-(* Signed relative change of [fresh] against [baseline], oriented so that
-   positive = worse for the metric's direction. A zero baseline with a
-   nonzero fresh value counts as a full-scale move. *)
-let adverse_change (dir : Scenario.direction) ~baseline ~fresh =
-  let rel =
-    if baseline = 0. then (if fresh = 0. then 0. else Float.infinity)
-    else (fresh -. baseline) /. Float.abs baseline
+let find_metric metrics (m : Scenario.metric) =
+  List.find_opt
+    (fun (x : Scenario.metric) -> x.Scenario.m_name = m.Scenario.m_name)
+    metrics
+
+let same (a : Scenario.metric) (b : Scenario.metric) =
+  Float.equal a.Scenario.m_value b.Scenario.m_value
+  && a.Scenario.m_dir = b.Scenario.m_dir
+  && Option.equal Float.equal a.Scenario.m_paper b.Scenario.m_paper
+
+(* A committed row against its fresh re-run: changed and removed metrics
+   in committed order, then added ones. *)
+let row_changes (committed : Sweep.row) (fresh : Sweep.row) =
+  List.filter_map
+    (fun c ->
+      match find_metric fresh.Sweep.r_metrics c with
+      | None -> Some (Removed c)
+      | Some f when same c f -> None
+      | Some f -> Some (Changed { committed = c; fresh = f }))
+    committed.Sweep.r_metrics
+  @ List.filter_map
+      (fun f ->
+        match find_metric committed.Sweep.r_metrics f with
+        | None -> Some (Added f)
+        | Some _ -> None)
+      fresh.Sweep.r_metrics
+
+let compare_reports ~baseline ~fresh =
+  let rows_of reports area =
+    match
+      List.find_opt (fun (r : Sweep.report) -> r.Sweep.a_area = area) reports
+    with
+    | Some r -> r.Sweep.a_rows
+    | None -> []
   in
-  match dir with
-  | Scenario.Lower_better -> rel
-  | Scenario.Higher_better -> -.rel
-  | Scenario.Info -> 0.
-
-let signed_change ~baseline ~fresh =
-  if baseline = 0. then if fresh = 0. then 0. else Float.infinity
-  else (fresh -. baseline) /. Float.abs baseline *. 100.
-
-let compare_reports ?(threshold = default_threshold) ~baseline ~fresh () =
-  let regressions = ref [] in
-  let improvements = ref [] in
-  let notes = ref [] in
-  let compared = ref 0 in
-  let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
-  let fresh_area a =
-    List.find_opt (fun (r : Sweep.report) -> r.Sweep.a_area = a) fresh
+  let changes = ref [] and compared = ref 0 and skipped = ref 0 in
+  let add area (row : Sweep.row) change =
+    changes :=
+      { f_area = area; f_scenario = row.Sweep.r_scenario;
+        f_dims = row.Sweep.r_dims; f_change = change }
+      :: !changes
   in
   List.iter
     (fun (brep : Sweep.report) ->
-      match fresh_area brep.Sweep.a_area with
-      | None -> note "area %s: no fresh sweep (skipped)" brep.Sweep.a_area
-      | Some frep ->
-        List.iter
-          (fun (brow : Sweep.row) ->
-            let key (r : Sweep.row) =
-              (r.Sweep.r_scenario, r.Sweep.r_dims)
-            in
-            match
-              List.find_opt
-                (fun r -> key r = key brow)
-                frep.Sweep.a_rows
-            with
-            | None ->
-              note "%s %s [%s]: not in fresh sweep (skipped)"
-                brep.Sweep.a_area brow.Sweep.r_scenario
-                (Scenario.dims_label brow.Sweep.r_dims)
-            | Some frow ->
-              List.iter
-                (fun (bm : Scenario.metric) ->
-                  match
-                    List.find_opt
-                      (fun (m : Scenario.metric) ->
-                        m.Scenario.m_name = bm.Scenario.m_name)
-                      frow.Sweep.r_metrics
-                  with
-                  | None ->
-                    note "%s %s [%s] %s: metric missing from fresh sweep"
-                      brep.Sweep.a_area brow.Sweep.r_scenario
-                      (Scenario.dims_label brow.Sweep.r_dims)
-                      bm.Scenario.m_name
-                  | Some fm ->
-                    if bm.Scenario.m_dir <> Scenario.Info then begin
-                      incr compared;
-                      let adverse =
-                        adverse_change bm.Scenario.m_dir
-                          ~baseline:bm.Scenario.m_value
-                          ~fresh:fm.Scenario.m_value
-                      in
-                      let finding =
-                        {
-                          f_area = brep.Sweep.a_area;
-                          f_scenario = brow.Sweep.r_scenario;
-                          f_dims = brow.Sweep.r_dims;
-                          f_metric = bm.Scenario.m_name;
-                          f_baseline = bm.Scenario.m_value;
-                          f_fresh = fm.Scenario.m_value;
-                          f_change_pct =
-                            signed_change ~baseline:bm.Scenario.m_value
-                              ~fresh:fm.Scenario.m_value;
-                        }
-                      in
-                      if adverse > threshold then
-                        regressions := finding :: !regressions
-                      else if adverse < -.threshold then
-                        improvements := finding :: !improvements
-                    end)
-                brow.Sweep.r_metrics)
-          brep.Sweep.a_rows)
+      let area = brep.Sweep.a_area in
+      let fresh_rows = rows_of fresh area in
+      List.iter
+        (fun brow ->
+          match find_row fresh_rows brow with
+          | None -> incr skipped
+          | Some frow ->
+            incr compared;
+            List.iter (add area brow) (row_changes brow frow))
+        brep.Sweep.a_rows)
     baseline;
-  (* Fresh rows with no baseline: future trajectory entries, noted only. *)
   List.iter
     (fun (frep : Sweep.report) ->
-      let base_area =
-        List.find_opt
-          (fun (r : Sweep.report) -> r.Sweep.a_area = frep.Sweep.a_area)
-          baseline
-      in
+      let area = frep.Sweep.a_area in
+      let committed = rows_of baseline area in
       List.iter
-        (fun (frow : Sweep.row) ->
-          let missing =
-            match base_area with
-            | None -> true
-            | Some brep ->
-              not
-                (List.exists
-                   (fun (r : Sweep.row) ->
-                     r.Sweep.r_scenario = frow.Sweep.r_scenario
-                     && r.Sweep.r_dims = frow.Sweep.r_dims)
-                   brep.Sweep.a_rows)
-          in
-          if missing then
-            note "%s %s [%s]: new row, no baseline yet" frep.Sweep.a_area
-              frow.Sweep.r_scenario
-              (Scenario.dims_label frow.Sweep.r_dims))
+        (fun frow ->
+          if find_row committed frow = None then add area frow New_row)
         frep.Sweep.a_rows)
     fresh;
-  {
-    regressions = List.rev !regressions;
-    improvements = List.rev !improvements;
-    notes = List.rev !notes;
-    compared = !compared;
-  }
+  { changes = List.rev !changes; compared = !compared; skipped = !skipped }
 
-let print_finding ~tag f =
-  Printf.printf "%s %s/%s [%s] %s: %s -> %s (%+.1f%%)\n" tag f.f_area
-    f.f_scenario
-    (Scenario.dims_label f.f_dims)
-    f.f_metric
-    (Sim.Json.float_repr f.f_baseline)
-    (Sim.Json.float_repr f.f_fresh)
-    f.f_change_pct
+let repr = Sim.Json.float_repr
 
-let run_dirs ?(threshold = default_threshold) ~baseline_dir ~fresh_dir () =
-  match (Sweep.load_dir baseline_dir, Sweep.load_dir fresh_dir) with
-  | Error e, _ ->
-    Printf.eprintf "bench diff: baseline %s: %s\n" baseline_dir e;
-    2
-  | _, Error e ->
-    Printf.eprintf "bench diff: fresh %s: %s\n" fresh_dir e;
+(* Signed change of [fresh] against [committed], in percent; a move away
+   from zero is an infinite one. *)
+let change_pct ~committed ~fresh =
+  if Float.equal committed fresh then 0.
+  else if committed = 0. then Float.copy_sign Float.infinity fresh
+  else (fresh -. committed) /. Float.abs committed *. 100.
+
+let judge (dir : Scenario.direction) pct =
+  match dir with
+  | Scenario.Info -> "info"
+  | Scenario.Lower_better -> if pct < 0. then "better" else "worse"
+  | Scenario.Higher_better -> if pct > 0. then "better" else "worse"
+
+let describe f =
+  let where =
+    Printf.sprintf "%s/%s [%s]" f.f_area f.f_scenario
+      (Scenario.dims_label f.f_dims)
+  in
+  match f.f_change with
+  | New_row -> Printf.sprintf "NEW     %s: no committed row" where
+  | Added m ->
+    Printf.sprintf "ADDED   %s %s = %s" where m.Scenario.m_name
+      (repr m.Scenario.m_value)
+  | Removed m ->
+    Printf.sprintf "REMOVED %s %s (was %s)" where m.Scenario.m_name
+      (repr m.Scenario.m_value)
+  | Changed { committed = c; fresh = m } ->
+    let value =
+      if Float.equal c.Scenario.m_value m.Scenario.m_value then []
+      else
+        let pct =
+          change_pct ~committed:c.Scenario.m_value ~fresh:m.Scenario.m_value
+        in
+        [ Printf.sprintf "%s -> %s (%+.4g%%, %s)" (repr c.Scenario.m_value)
+            (repr m.Scenario.m_value) pct (judge c.Scenario.m_dir pct) ]
+    in
+    let better =
+      if c.Scenario.m_dir = m.Scenario.m_dir then []
+      else
+        [ Printf.sprintf "better %s -> %s"
+            (Sweep.direction_to_string c.Scenario.m_dir)
+            (Sweep.direction_to_string m.Scenario.m_dir) ]
+    in
+    let paper =
+      let show = Option.fold ~none:"none" ~some:repr in
+      if Option.equal Float.equal c.Scenario.m_paper m.Scenario.m_paper then []
+      else
+        [ Printf.sprintf "paper %s -> %s" (show c.Scenario.m_paper)
+            (show m.Scenario.m_paper) ]
+    in
+    Printf.sprintf "CHANGED %s %s: %s" where c.Scenario.m_name
+      (String.concat "; " (value @ better @ paper))
+
+let run_dirs ~baseline_dir ~fresh_dir =
+  let load what dir =
+    match Sweep.load_dir dir with
+    | Error e -> Error (Printf.sprintf "%s %s: %s" what dir e)
+    | Ok [] -> Error (Printf.sprintf "no BENCH_*.json in %s %s" what dir)
+    | Ok reports -> Ok reports
+  in
+  match (load "baseline" baseline_dir, load "fresh" fresh_dir) with
+  | Error e, _ | _, Error e ->
+    Printf.eprintf "bench diff: %s\n" e;
     2
   | Ok baseline, Ok fresh ->
-    if baseline = [] then begin
-      Printf.eprintf "bench diff: no BENCH_*.json in baseline %s\n"
-        baseline_dir;
-      2
-    end
-    else begin
-      let v = compare_reports ~threshold ~baseline ~fresh () in
-      List.iter (print_finding ~tag:"REGRESSION") v.regressions;
-      List.iter (print_finding ~tag:"improvement") v.improvements;
-      List.iter (fun n -> Printf.printf "note: %s\n" n) v.notes;
-      Printf.printf
-        "bench diff: %d metric(s) compared, %d regression(s), %d \
-         improvement(s) at %.0f%% threshold\n"
-        v.compared
-        (List.length v.regressions)
-        (List.length v.improvements)
-        (threshold *. 100.);
-      if v.regressions <> [] then 1 else 0
-    end
+    let v = compare_reports ~baseline ~fresh in
+    List.iter (fun f -> print_endline (describe f)) v.changes;
+    Printf.printf
+      "bench diff: %d row(s) compared, %d change(s); %d committed row(s) \
+       not in the fresh sweep (skipped)\n"
+      v.compared (List.length v.changes) v.skipped;
+    if v.changes = [] then 0 else 1

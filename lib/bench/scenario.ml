@@ -89,5 +89,3 @@ let all () =
 
 let areas () =
   List.sort_uniq compare (List.map (fun t -> t.sc_area) (all ()))
-
-let find name = Hashtbl.find_opt registry name

@@ -77,5 +77,3 @@ val all : unit -> t list
 
 (** Distinct areas, sorted. *)
 val areas : unit -> string list
-
-val find : string -> t option

@@ -247,7 +247,7 @@ let declare_sharing () =
          ]
        run_pmake_sharing)
 
-(* ---------- area workloads ---------- *)
+(* ---------- workload runs ---------- *)
 
 let setup_workload sys = function
   | "pmake" -> Workloads.Pmake.setup sys Workloads.Pmake.default
@@ -267,37 +267,6 @@ let workload_result (dims : dims) =
   let _eng, sys = boot_dims dims in
   setup_workload sys dims.workload;
   run_workload sys dims.workload
-
-let run_workload_point (dims : dims) =
-  let result = workload_result dims in
-  [
-    metric "elapsed_ms"
-      (Int64.to_float result.Workloads.Workload.elapsed_ns /. 1e6);
-    metric ~dir:Higher_better "completed"
-      (if result.Workloads.Workload.completed then 1. else 0.);
-    metric ~dir:Info "procs_killed"
-      (float_of_int result.Workloads.Workload.procs_killed);
-  ]
-
-let declare_workloads () =
-  let grid name rows quick =
-    let base = { default_dims with workload = name; nodes = 4 } in
-    let point (cells, smp) = { base with cells; smp } in
-    ignore
-      (declare ~name ~area:"workloads"
-         ~doc:
-           (name
-          ^ " end-to-end simulated run time across machine shapes (smp = \
-             SMP-OS baseline)")
-         ~dims:(List.map point rows)
-         ~quick:(List.map point quick)
-         run_workload_point)
-  in
-  grid "pmake"
-    [ (1, true); (1, false); (2, false); (4, false) ]
-    [ (2, false) ];
-  grid "ocean" [ (1, true); (1, false); (4, false) ] [ (4, false) ];
-  grid "raytrace" [ (1, false); (4, false) ] [ (4, false) ]
 
 (* ---------- area fuzz ---------- *)
 
@@ -398,22 +367,6 @@ let raise_hint sys ~by ~suspect =
     f sys.Hive.Types.cells.(by) ~suspect ~reason:"bench fault injection"
   | None -> failwith "resilience: no hint handler installed"
 
-(* Sever every link into and out of [cell] for [window_ns] starting now;
-   the heal is a deterministic scheduled event. *)
-let sever_cell sys ~cell ~window_ns =
-  let sips = Flash.Machine.sips sys.Hive.Types.machine in
-  let t0 = Sim.Engine.now sys.Hive.Types.eng in
-  let until_ns = Int64.add t0 window_ns in
-  List.iter
-    (fun n ->
-      Flash.Sips.partition sips
-        { Flash.Sips.part_from = -1; part_to = n; part_from_ns = t0;
-          part_until_ns = until_ns };
-      Flash.Sips.partition sips
-        { Flash.Sips.part_from = n; part_to = -1; part_from_ns = t0;
-          part_until_ns = until_ns })
-    sys.Hive.Types.cells.(cell).Hive.Types.cell_nodes
-
 (* Black out one cell for link_ms, let agreement excise it, and measure
    the path back to a single unified live set after the deterministic
    heal: the victim is still running behind the blackout, so reclamation
@@ -425,9 +378,9 @@ let run_partition_heal (dims : dims) =
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) settle_ns) eng;
   let victim = dims.cells - 1 in
   let t0 = Sim.Engine.now eng in
-  let window_ns = Int64.of_int (dims.link_ms * 1_000_000) in
-  let heal_ns = Int64.add t0 window_ns in
-  sever_cell sys ~cell:victim ~window_ns;
+  let heal_ns = Int64.add t0 (Int64.of_int (dims.link_ms * 1_000_000)) in
+  Faultinj.Campaign.sever_cell sys ~cell:victim ~from_ns:t0 ~until_ns:heal_ns
+    ~one_way:false;
   raise_hint sys ~by:0 ~suspect:victim;
   let unified () =
     Array.for_all
@@ -1416,7 +1369,6 @@ let register () =
     registered := true;
     declare_rpc ();
     declare_sharing ();
-    declare_workloads ();
     declare_fuzz ();
     declare_resilience ();
     declare_traffic ();

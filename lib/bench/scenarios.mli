@@ -1,9 +1,9 @@
 (** The shipped scenario set: [null-rpc] / [queued-rpc] (area [rpc]),
-    [remote-read] / [pmake-sharing] (area [sharing]), one scenario per
-    workload (area [workloads]), the fuzz, resilience, traffic and scale
-    areas, and the paper's own evaluation (area [paper]: [rpc-latency],
-    [careful-ref], [pagefault], [pagefault-pmake], [firewall],
-    [table-7.2], [table-7.3], [table-7.4], [ablations]). [register]
+    [remote-read] / [pmake-sharing] (area [sharing]), the fuzz,
+    resilience, traffic and scale areas, and the paper's own evaluation
+    (area [paper]: [rpc-latency], [careful-ref], [pagefault],
+    [pagefault-pmake], [firewall], [table-7.2], [table-7.3], [table-7.4],
+    [ablations]). [register]
     declares them all into the {!Scenario} registry; idempotent, call
     before {!Sweep.run}. *)
 

@@ -10,55 +10,40 @@ type row = {
 
 type report = { a_area : string; a_rows : row list }
 
-let run ?areas ?(quick = false) ?(dims_filter = fun _ -> true)
-    ?(verbose = true) () =
-  let wanted area =
-    match areas with None -> true | Some l -> List.mem area l
+let run_point ~verbose (sc : Scenario.t) dims =
+  if verbose then
+    Printf.printf "sweep: %-16s %s\n%!" sc.Scenario.sc_name
+      (Scenario.dims_label dims);
+  let metrics = sc.Scenario.sc_run dims in
+  if verbose then
+    List.iter
+      (fun (m : Scenario.metric) ->
+        Printf.printf "    %-24s %s%s\n%!" m.Scenario.m_name
+          (J.float_repr m.Scenario.m_value)
+          (match m.Scenario.m_paper with
+          | Some p -> "   (paper " ^ J.float_repr p ^ ")"
+          | None -> ""))
+      metrics;
+  { r_scenario = sc.Scenario.sc_name; r_dims = dims; r_metrics = metrics }
+
+let run ?areas ?(quick = false) ?(verbose = true) () =
+  let wanted (sc : Scenario.t) =
+    match areas with None -> true | Some l -> List.mem sc.Scenario.sc_area l
   in
-  let by_area : (string, row list ref) Hashtbl.t = Hashtbl.create 8 in
-  let area_order = ref [] in
-  List.iter
-    (fun (sc : Scenario.t) ->
-      if wanted sc.Scenario.sc_area then begin
-        let grid = if quick then sc.Scenario.sc_quick else sc.Scenario.sc_dims in
-        List.iter
-          (fun dims ->
-            if dims_filter dims then begin
-              if verbose then
-                Printf.printf "sweep: %-16s %s\n%!" sc.Scenario.sc_name
-                  (Scenario.dims_label dims);
-              let metrics = sc.Scenario.sc_run dims in
-              if verbose then
-                List.iter
-                  (fun (m : Scenario.metric) ->
-                    Printf.printf "    %-24s %s%s\n%!" m.Scenario.m_name
-                      (J.float_repr m.Scenario.m_value)
-                      (match m.Scenario.m_paper with
-                      | Some p -> "   (paper " ^ J.float_repr p ^ ")"
-                      | None -> ""))
-                  metrics;
-              let row =
-                { r_scenario = sc.Scenario.sc_name; r_dims = dims;
-                  r_metrics = metrics }
-              in
-              let bucket =
-                match Hashtbl.find_opt by_area sc.Scenario.sc_area with
-                | Some b -> b
-                | None ->
-                  let b = ref [] in
-                  Hashtbl.replace by_area sc.Scenario.sc_area b;
-                  area_order := sc.Scenario.sc_area :: !area_order;
-                  b
-              in
-              bucket := row :: !bucket
-            end)
-          grid
-      end)
-    (Scenario.all ());
-  List.rev !area_order
+  let rows =
+    List.filter wanted (Scenario.all ())
+    |> List.concat_map (fun (sc : Scenario.t) ->
+           let grid =
+             if quick then sc.Scenario.sc_quick else sc.Scenario.sc_dims
+           in
+           List.map
+             (fun dims -> (sc.Scenario.sc_area, run_point ~verbose sc dims))
+             grid)
+  in
+  List.sort_uniq compare (List.map fst rows)
   |> List.map (fun area ->
-         { a_area = area; a_rows = List.rev !(Hashtbl.find by_area area) })
-  |> List.sort (fun a b -> compare a.a_area b.a_area)
+         let in_area (a, r) = if a = area then Some r else None in
+         { a_area = area; a_rows = List.filter_map in_area rows })
 
 (* ---------- JSON ---------- *)
 
@@ -151,14 +136,9 @@ let dims_of_json j : (Scenario.dims, string) result =
   let* link_ms = field "link_ms" J.to_int_opt j in
   let* import_cache = field "import_cache" J.to_bool_opt j in
   let* smp = field "smp" J.to_bool_opt j in
-  (* traffic dims default to 0 so baselines written before they existed
-     still parse (0 = "not a traffic row", matching default_dims) *)
-  let opt_int name =
-    Result.map (Option.value ~default:0) (opt_field name J.to_int_opt j)
-  in
-  let* rate = opt_int "rate" in
-  let* zipf_pct = opt_int "zipf_pct" in
-  let* fault_ms = opt_int "fault_ms" in
+  let* rate = field "rate" J.to_int_opt j in
+  let* zipf_pct = field "zipf_pct" J.to_int_opt j in
+  let* fault_ms = field "fault_ms" J.to_int_opt j in
   Ok
     { Scenario.workload; cells; nodes; ws_pages; link_ms; import_cache; smp;
       rate; zipf_pct; fault_ms }

@@ -10,15 +10,14 @@ type row = {
 
 type report = { a_area : string; a_rows : row list }
 
-(** Run the sweep. [areas] restricts to the named areas; [quick] runs each
-    scenario's reduced grid; [dims_filter] drops grid points (both default
-    to everything). [verbose] (default true) prints each row's metrics as
-    it completes, with the paper's value beside any metric that has one.
-    Reports are sorted by area; rows keep scenario declaration order. *)
+(** Run the sweep. [areas] restricts to the named areas (default all);
+    [quick] runs each scenario's reduced grid. [verbose] (default true)
+    prints each row's metrics as it completes, with the paper's value
+    beside any metric that has one. Reports are sorted by area; rows keep
+    scenario declaration order. *)
 val run :
   ?areas:string list ->
   ?quick:bool ->
-  ?dims_filter:(Scenario.dims -> bool) ->
   ?verbose:bool ->
   unit ->
   report list
@@ -26,6 +25,9 @@ val run :
 (** A metric's [paper] field is written only when it is set, so rows
     without paper values serialize as they always have. *)
 val report_to_json : report -> Sim.Json.t
+
+(** ["lower"], ["higher"] or ["info"], as written in the [better] field. *)
+val direction_to_string : Scenario.direction -> string
 
 val report_of_json : Sim.Json.t -> (report, string) result
 

@@ -1,5 +1,5 @@
-(* Metrics: typed snapshot of the run's instrumentation with a JSON
-   round-trip. [capture] freezes the live counters/histograms into a
+(* Metrics: typed snapshot of the run's instrumentation and its JSON
+   rendering. [capture] freezes the live counters/histograms into a
    plain-data [Snapshot.t]; everything downstream (print_summary, the
    benches, hive_sim --metrics-json, the sweep trajectory) consumes the
    snapshot instead of re-scraping kernel tables. JSON goes through
@@ -11,12 +11,6 @@ let status_to_string = function
   | Types.Cell_up -> "up"
   | Types.Cell_recovering -> "recovering"
   | Types.Cell_down -> "down"
-
-let status_of_string = function
-  | "up" -> Some Types.Cell_up
-  | "recovering" -> Some Types.Cell_recovering
-  | "down" -> Some Types.Cell_down
-  | _ -> None
 
 module Snapshot = struct
   type hist = {
@@ -140,155 +134,6 @@ module Snapshot = struct
         ])
 
   let to_string t = J.to_string (to_json t)
-
-  (* ---------- from JSON ---------- *)
-
-  let ( let* ) = Result.bind
-
-  let field name conv j =
-    match J.member name j with
-    | None -> Error (Printf.sprintf "metrics: missing field %S" name)
-    | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "metrics: bad field %S" name))
-
-  let map_result f l =
-    List.fold_left
-      (fun acc x ->
-        let* acc = acc in
-        let* y = f x in
-        Ok (y :: acc))
-      (Ok []) l
-    |> Result.map List.rev
-
-  let counters_of_json name j =
-    match J.to_obj_opt j with
-    | None -> Error (Printf.sprintf "metrics: %s is not an object" name)
-    | Some fields ->
-      map_result
-        (fun (k, v) ->
-          match J.to_int_opt v with
-          | Some n -> Ok (k, n)
-          | None -> Error (Printf.sprintf "metrics: counter %S not an int" k))
-        fields
-
-  let hist_of_json j =
-    let* count = field "count" J.to_int_opt j in
-    let* mean_ns = field "mean_ns" J.to_float_opt j in
-    let* min_ns = field "min_ns" J.to_float_opt j in
-    let* max_ns = field "max_ns" J.to_float_opt j in
-    let* p50_ns = field "p50_ns" J.to_float_opt j in
-    let* p95_ns = field "p95_ns" J.to_float_opt j in
-    let* p99_ns = field "p99_ns" J.to_float_opt j in
-    let* p999_ns = field "p999_ns" J.to_float_opt j in
-    let* buckets = field "buckets" J.to_list_opt j in
-    let* buckets =
-      map_result
-        (fun b ->
-          match J.to_list_opt b with
-          | Some [ lo; hi; n ] -> (
-            match (J.to_int64_opt lo, J.to_int64_opt hi, J.to_int_opt n) with
-            | Some lo, Some hi, Some n -> Ok (lo, hi, n)
-            | _ -> Error "metrics: bad bucket entry")
-          | _ -> Error "metrics: bad bucket shape")
-        buckets
-    in
-    Ok { count; mean_ns; min_ns; max_ns; p50_ns; p95_ns; p99_ns; p999_ns; buckets }
-
-  let hist_table_of_json name j =
-    match J.to_obj_opt j with
-    | None -> Error (Printf.sprintf "metrics: %s is not an object" name)
-    | Some fields ->
-      map_result
-        (fun (k, v) ->
-          let* h = hist_of_json v in
-          Ok (k, h))
-        fields
-
-  let cell_of_json j =
-    let* id = field "id" J.to_int_opt j in
-    let* status = field "status" J.to_string_opt j in
-    let* status =
-      match status_of_string status with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "metrics: unknown cell status %S" status)
-    in
-    let* live = field "live_set" J.to_list_opt j in
-    let* live_set =
-      map_result
-        (fun v ->
-          match J.to_int_opt v with
-          | Some i -> Ok i
-          | None -> Error "metrics: bad live_set entry")
-        live
-    in
-    let* counters = field "counters" Option.some j in
-    let* counters = counters_of_json "cell counters" counters in
-    Ok { id; status; live_set; counters }
-
-  let of_json j =
-    let* sim_time_ns = field "sim_time_ns" J.to_int64_opt j in
-    let* rpc = field "rpc" Option.some j in
-    let* rpc_client = field "client" Option.some rpc in
-    let* rpc_client = hist_table_of_json "rpc.client" rpc_client in
-    let* rpc_server = field "server" Option.some rpc in
-    let* rpc_server = hist_table_of_json "rpc.server" rpc_server in
-    let* ops =
-      (* absent in snapshots written before op-level instrumentation *)
-      match J.member "ops" j with
-      | None -> Ok []
-      | Some v -> hist_table_of_json "ops" v
-    in
-    let* cells = field "cells" J.to_list_opt j in
-    let* cells = map_result cell_of_json cells in
-    let* system_counters = field "system_counters" Option.some j in
-    let* system_counters =
-      counters_of_json "system_counters" system_counters
-    in
-    let* sips = field "sips" Option.some j in
-    let* sends = field "sends" J.to_int_opt sips in
-    let* drops = field "drops" J.to_int_opt sips in
-    let* dups = field "dups" J.to_int_opt sips in
-    let* delays = field "delays" J.to_int_opt sips in
-    let* stale_purged = field "stale_purged" J.to_int_opt sips in
-    let* sharing = field "sharing" Option.some j in
-    let* sharing = counters_of_json "sharing" sharing in
-    let* cache_hit_rate =
-      match J.member "cache_hit_rate" j with
-      | None -> Ok None
-      | Some v -> (
-        match J.to_float_opt v with
-        | Some f -> Ok (Some f)
-        | None -> Error "metrics: bad cache_hit_rate")
-    in
-    let* timeline = field "recovery_timeline" J.to_list_opt j in
-    let* recovery_timeline =
-      map_result
-        (fun e ->
-          let* phase = field "phase" J.to_string_opt e in
-          let* ns = field "ns" J.to_int64_opt e in
-          Ok (phase, ns))
-        timeline
-    in
-    Ok
-      {
-        sim_time_ns;
-        rpc_client;
-        rpc_server;
-        ops;
-        cells;
-        system_counters;
-        sips = { sends; drops; dups; delays; stale_purged };
-        sharing;
-        cache_hit_rate;
-        recovery_timeline;
-      }
-
-  let of_string s =
-    match J.of_string s with
-    | Error e -> Error e
-    | Ok j -> of_json j
 end
 
 (* ---------- capture ---------- *)

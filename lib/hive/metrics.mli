@@ -4,11 +4,10 @@
     interconnect (SIPS) damage totals, sharing-protocol totals, and the
     recovery phase timeline.
 
-    [capture] freezes a {!Snapshot.t} from a live system; the snapshot
-    round-trips through JSON ([Snapshot.of_string (Snapshot.to_string s)
-    = Ok s]), so the benches, [hive_sim --metrics-json] and the sweep
-    trajectory files all consume the same structure instead of re-scraping
-    counters. *)
+    [capture] freezes a {!Snapshot.t} from a live system, so the benches,
+    [hive_sim --metrics-json] and the sweep trajectory files all consume
+    the same structure instead of re-scraping counters. The JSON is
+    written, never read back: consumers parse it as plain JSON. *)
 
 module Snapshot : sig
   (** Exported view of one {!Sim.Stats.histogram}: exact count, mean,
@@ -51,7 +50,7 @@ module Snapshot : sig
     ops : (string * hist) list;
         (** user-visible end-to-end op latency, keyed ["class|phase"]
             (e.g. ["server.read|before"]); empty when the run recorded
-            none, and parsed as empty from older snapshots. *)
+            none. *)
     cells : cell list;
     system_counters : (string * int) list;
     sips : sips;
@@ -80,12 +79,8 @@ module Snapshot : sig
 
   val to_json : t -> Sim.Json.t
 
-  val of_json : Sim.Json.t -> (t, string) result
-
-  (** Compact JSON text; [of_string (to_string t) = Ok t]. *)
+  (** Compact JSON text of [to_json]. *)
   val to_string : t -> string
-
-  val of_string : string -> (t, string) result
 end
 
 (** Export one live histogram; its percentiles equal

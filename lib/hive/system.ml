@@ -189,7 +189,6 @@ let boot ?(mcfg = Flash.Config.default) ?(params = Params.default)
       wax_incarnation = 0;
       on_hint = None;
       sys_counters = Sim.Stats.registry ();
-      trace_faults = false;
       rpc_executions = Hashtbl.create 1024;
       rpc_stale_accepts = [];
       events = Sim.Event.create eng;

@@ -379,7 +379,6 @@ type system = {
   mutable on_hint : (cell -> suspect:cell_id -> reason:string -> unit) option;
       (* installed by the failure-detection module at boot *)
   sys_counters : Sim.Stats.registry;
-  mutable trace_faults : bool;
   (* At-most-once audit trail, read by Invariants: how many times each
      non-idempotent op body actually ran, keyed by the server's identity
      (cell, incarnation) and the call id; plus any stale-epoch message a

@@ -1,5 +1,5 @@
-(* Bench subsystem tests: typed metrics snapshot round-trip, the nan
-   guard on ratio metrics, sweep determinism, and the regression gate. *)
+(* Bench subsystem tests: the metrics snapshot JSON, the nan guard on
+   ratio metrics, sweep determinism, and the exact trajectory gate. *)
 
 open Bench
 
@@ -36,23 +36,50 @@ let driven_system () =
   touch_pass ();
   sys
 
-let test_snapshot_roundtrip () =
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* A field of the emitted JSON by path, parsed with the plain JSON
+   reader. *)
+let json_path j path =
+  List.fold_left (fun j k -> Option.bind j (Sim.Json.member k)) (Some j) path
+
+let test_snapshot_json () =
   let sys = driven_system () in
   let snap = Hive.Metrics.capture sys in
-  (match snap.Hive.Metrics.Snapshot.cache_hit_rate with
-  | Some r -> Alcotest.(check bool) "hit rate in [0,1]" true (r >= 0. && r <= 1.)
-  | None -> Alcotest.fail "driven system should have a cache hit rate");
-  Alcotest.(check bool) "client histograms present" true
-    (snap.Hive.Metrics.Snapshot.rpc_client <> []);
+  let rate =
+    match snap.Hive.Metrics.Snapshot.cache_hit_rate with
+    | Some r -> r
+    | None -> Alcotest.fail "driven system should have a cache hit rate"
+  in
+  Alcotest.(check bool) "hit rate in [0,1]" true (rate >= 0. && rate <= 1.);
+  let op, h =
+    match snap.Hive.Metrics.Snapshot.rpc_client with
+    | first :: _ -> first
+    | [] -> Alcotest.fail "client histograms missing"
+  in
   let s = Hive.Metrics.Snapshot.to_string snap in
-  match Hive.Metrics.Snapshot.of_string s with
-  | Error e -> Alcotest.failf "of_string failed: %s" e
-  | Ok snap' ->
-    Alcotest.(check bool) "snapshot round-trips structurally equal" true
-      (snap = snap');
-    (* And the re-serialization is byte-identical. *)
-    Alcotest.(check string) "re-serialization is byte-identical" s
-      (Hive.Metrics.Snapshot.to_string snap')
+  match Sim.Json.of_string s with
+  | Error e -> Alcotest.failf "snapshot JSON does not parse: %s" e
+  | Ok j ->
+    let num path =
+      match Option.bind (json_path j path) Sim.Json.to_float_opt with
+      | Some v -> v
+      | None -> Alcotest.failf "no number at %s" (String.concat "." path)
+    in
+    Alcotest.(check (float 0.)) "cache_hit_rate written" rate
+      (num [ "cache_hit_rate" ]);
+    Alcotest.(check (float 0.)) "client p99_ns written"
+      h.Hive.Metrics.Snapshot.p99_ns
+      (num [ "rpc"; "client"; op; "p99_ns" ]);
+    Alcotest.(check (float 0.)) "client count written"
+      (float_of_int h.Hive.Metrics.Snapshot.count)
+      (num [ "rpc"; "client"; op; "count" ]);
+    Alcotest.(check (float 0.)) "sim time written"
+      (Int64.to_float snap.Hive.Metrics.Snapshot.sim_time_ns)
+      (num [ "sim_time_ns" ])
 
 let test_hit_rate_nan_guard () =
   (* An idle system has zero lookups: the ratio must be absent, never
@@ -64,25 +91,19 @@ let test_hit_rate_nan_guard () =
   Alcotest.(check bool) "snapshot hit rate is None" true
     (snap.Hive.Metrics.Snapshot.cache_hit_rate = None);
   let s = Hive.Metrics.to_json sys in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "JSON has no nan" false (contains s "nan");
   Alcotest.(check bool) "JSON omits cache_hit_rate" false
     (contains s "cache_hit_rate");
-  match Hive.Metrics.Snapshot.of_string s with
-  | Error e -> Alcotest.failf "idle snapshot does not parse: %s" e
-  | Ok snap' ->
-    Alcotest.(check bool) "idle snapshot round-trips" true (snap = snap')
+  match Sim.Json.of_string s with
+  | Error e -> Alcotest.failf "idle snapshot JSON does not parse: %s" e
+  | Ok j ->
+    Alcotest.(check bool) "parsed JSON has no cache_hit_rate" true
+      (Sim.Json.member "cache_hit_rate" j = None)
 
-(* The cheapest real grid row, used for the determinism and gate tests. *)
+(* The cheapest real grid rows, used for the determinism and gate tests. *)
 let quick_rpc_reports () =
   Scenarios.register ();
-  Sweep.run ~areas:[ "rpc" ] ~quick:true
-    ~dims_filter:(fun d -> d.Scenario.link_ms = 0)
-    ~verbose:false ()
+  Sweep.run ~areas:[ "rpc" ] ~quick:true ~verbose:false ()
 
 let test_sweep_deterministic () =
   let r1 = quick_rpc_reports () in
@@ -136,7 +157,8 @@ let test_sweep_deterministic () =
   | Error e -> Alcotest.failf "paper report round-trip failed: %s" e
   | Ok r -> Alcotest.(check bool) "paper value read back" true (r = with_paper)
 
-let scale_lower_better factor (reports : Sweep.report list) =
+(* Apply [f] to every metric of every row. *)
+let map_metrics f (reports : Sweep.report list) =
   List.map
     (fun (r : Sweep.report) ->
       {
@@ -144,86 +166,139 @@ let scale_lower_better factor (reports : Sweep.report list) =
         Sweep.a_rows =
           List.map
             (fun (row : Sweep.row) ->
-              {
-                row with
-                Sweep.r_metrics =
-                  List.map
-                    (fun (m : Scenario.metric) ->
-                      if m.Scenario.m_dir = Scenario.Lower_better then
-                        { m with Scenario.m_value = m.Scenario.m_value *. factor }
-                      else m)
-                    row.Sweep.r_metrics;
-              })
+              { row with Sweep.r_metrics = List.map f row.Sweep.r_metrics })
             r.Sweep.a_rows;
       })
     reports
 
-let test_diff_gate () =
-  let baseline = quick_rpc_reports () in
-  (* Unchanged re-run: clean. *)
-  let v = Diff.compare_reports ~baseline ~fresh:baseline () in
-  Alcotest.(check int) "identical sweep has no regressions" 0
-    (List.length v.Diff.regressions);
-  Alcotest.(check bool) "metrics were compared" true (v.Diff.compared > 0);
-  (* Planted 2x slowdown on every lower-is-better metric: flagged. *)
-  let slow = scale_lower_better 2.0 baseline in
-  let v = Diff.compare_reports ~baseline ~fresh:slow () in
-  Alcotest.(check bool) "2x slowdown is flagged" true
-    (v.Diff.regressions <> []);
+let scale_lower_better factor =
+  map_metrics (fun (m : Scenario.metric) ->
+      if m.Scenario.m_dir = Scenario.Lower_better then
+        { m with Scenario.m_value = m.Scenario.m_value *. factor }
+      else m)
+
+(* Every change is [Changed] and its line carries [needles]. *)
+let check_changed what needles (v : Diff.verdict) =
+  Alcotest.(check bool) (what ^ " is flagged") true (v.Diff.changes <> []);
   List.iter
     (fun (f : Diff.finding) ->
-      Alcotest.(check (float 1e-6)) "change is +100%" 100. f.Diff.f_change_pct)
-    v.Diff.regressions;
-  (* The same movement in the other direction is an improvement. *)
-  let fast = scale_lower_better 0.5 baseline in
-  let v = Diff.compare_reports ~baseline ~fresh:fast () in
-  Alcotest.(check int) "2x speedup is not a regression" 0
-    (List.length v.Diff.regressions);
-  Alcotest.(check bool) "2x speedup is an improvement" true
-    (v.Diff.improvements <> [])
+      (match f.Diff.f_change with
+      | Diff.Changed _ -> ()
+      | _ -> Alcotest.failf "%s: unexpected %s" what (Diff.describe f));
+      List.iter
+        (fun n ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S in %S" what n (Diff.describe f))
+            true
+            (contains (Diff.describe f) n))
+        needles)
+    v.Diff.changes
+
+let test_diff_gate () =
+  let baseline = quick_rpc_reports () in
+  (* An identical re-run: clean, every row compared, none skipped. *)
+  let v = Diff.compare_reports ~baseline ~fresh:(quick_rpc_reports ()) in
+  Alcotest.(check int) "identical re-run has no changes" 0
+    (List.length v.Diff.changes);
+  Alcotest.(check bool) "rows were compared" true (v.Diff.compared > 0);
+  Alcotest.(check int) "no row skipped" 0 v.Diff.skipped;
+  (* A 0.15% move of one lower-is-better value is flagged on its own, as
+     a worse move. *)
+  let planted = ref false in
+  let nudged =
+    map_metrics
+      (fun (m : Scenario.metric) ->
+        if !planted || m.Scenario.m_dir <> Scenario.Lower_better then m
+        else begin
+          planted := true;
+          { m with Scenario.m_value = m.Scenario.m_value *. 1.0015 }
+        end)
+      baseline
+  in
+  let v = Diff.compare_reports ~baseline ~fresh:nudged in
+  Alcotest.(check int) "0.15% move is the one change" 1
+    (List.length v.Diff.changes);
+  check_changed "0.15% move" [ "+0.15%"; "worse" ] v;
+  (* A 2x speed-up is a change too, reported as better. *)
+  let v =
+    Diff.compare_reports ~baseline ~fresh:(scale_lower_better 0.5 baseline)
+  in
+  check_changed "2x speed-up" [ "-50%"; "better" ] v;
+  (* A --quick sweep against the full grid: the rows it does not run are
+     skipped and counted, not flagged. *)
+  let full = Sweep.run ~areas:[ "rpc" ] ~verbose:false () in
+  let v = Diff.compare_reports ~baseline:full ~fresh:baseline in
+  Alcotest.(check int) "quick subset is clean" 0 (List.length v.Diff.changes);
+  Alcotest.(check bool) "uncovered rows are counted" true (v.Diff.skipped > 0)
 
 let test_diff_orientation () =
-  let mk name dir value =
+  let report ?(area = "t") rows =
     {
-      Sweep.a_area = "t";
+      Sweep.a_area = area;
       a_rows =
-        [
-          {
-            Sweep.r_scenario = name;
-            r_dims = Scenario.default_dims;
-            r_metrics = [ Scenario.metric ~dir name value ];
-          };
-        ];
+        List.map
+          (fun (name, metrics) ->
+            { Sweep.r_scenario = name; r_dims = Scenario.default_dims;
+              r_metrics = metrics })
+          rows;
     }
   in
-  (* Higher-better dropping is a regression; Info never is. *)
-  let v =
-    Diff.compare_reports
-      ~baseline:[ mk "done" Scenario.Higher_better 100. ]
-      ~fresh:[ mk "done" Scenario.Higher_better 50. ]
-      ()
+  let one ?area name dir value =
+    report ?area [ (name, [ Scenario.metric ~dir name value ]) ]
   in
-  Alcotest.(check int) "higher-better drop flagged" 1
-    (List.length v.Diff.regressions);
-  let v =
-    Diff.compare_reports
-      ~baseline:[ mk "ctx" Scenario.Info 100. ]
-      ~fresh:[ mk "ctx" Scenario.Info 5000. ]
-      ()
+  let diff baseline fresh =
+    Diff.compare_reports ~baseline:[ baseline ] ~fresh:[ fresh ]
   in
-  Alcotest.(check int) "info metrics never gate" 0
-    (List.length v.Diff.regressions);
-  (* A quick CI sweep covering a subset of the committed trajectory only
-     produces notes for the uncovered rows, not failures. *)
-  let base = [ mk "a" Scenario.Lower_better 1.; mk "b" Scenario.Lower_better 1. ] in
-  let v =
-    Diff.compare_reports ~baseline:base
-      ~fresh:[ mk "a" Scenario.Lower_better 1. ]
-      ()
+  (* Direction decides better or worse. *)
+  check_changed "higher-better drop" [ "-50%"; "worse" ]
+    (diff (one "done" Scenario.Higher_better 100.)
+       (one "done" Scenario.Higher_better 50.));
+  check_changed "higher-better rise" [ "+100%"; "better" ]
+    (diff (one "done" Scenario.Higher_better 50.)
+       (one "done" Scenario.Higher_better 100.));
+  (* Info metrics, directions and paper values all count. *)
+  check_changed "info move" [ "info" ]
+    (diff (one "ctx" Scenario.Info 100.) (one "ctx" Scenario.Info 5000.));
+  check_changed "direction flip" [ "better lower -> higher" ]
+    (diff (one "x" Scenario.Lower_better 1.)
+       (one "x" Scenario.Higher_better 1.));
+  check_changed "paper value" [ "paper none -> 2" ]
+    (diff
+       (report [ ("x", [ Scenario.metric "x" 1. ]) ])
+       (report [ ("x", [ Scenario.metric ~paper:2. "x" 1. ]) ]));
+  let only what expect (v : Diff.verdict) =
+    match v.Diff.changes with
+    | [ f ] when expect f.Diff.f_change -> ()
+    | _ ->
+      Alcotest.failf "%s: got [%s]" what
+        (String.concat "; " (List.map Diff.describe v.Diff.changes))
   in
-  Alcotest.(check int) "subset sweep is clean" 0
-    (List.length v.Diff.regressions);
-  Alcotest.(check bool) "uncovered rows are noted" true (v.Diff.notes <> [])
+  (* A fresh row with no committed row, in a known area and in an area
+     with no committed file. *)
+  let lower = Scenario.Lower_better in
+  let a_and_b =
+    report
+      [ ("a", [ Scenario.metric "a" 1. ]); ("b", [ Scenario.metric "b" 1. ]) ]
+  in
+  only "new row" (( = ) Diff.New_row) (diff (one "a" lower 1.) a_and_b);
+  only "new area" (( = ) Diff.New_row)
+    (Diff.compare_reports ~baseline:[ one "a" lower 1. ]
+       ~fresh:[ one "a" lower 1.; one ~area:"u" "a" lower 1. ]);
+  (* Removed and added metrics. *)
+  let two =
+    report [ ("a", [ Scenario.metric "p50" 1.; Scenario.metric "p99" 2. ]) ]
+  in
+  let first = report [ ("a", [ Scenario.metric "p50" 1. ]) ] in
+  only "removed metric"
+    (function Diff.Removed m -> m.Scenario.m_name = "p99" | _ -> false)
+    (diff two first);
+  only "added metric"
+    (function Diff.Added m -> m.Scenario.m_name = "p99" | _ -> false)
+    (diff first two);
+  (* A subset sweep skips and counts the rows it did not run. *)
+  let v = diff a_and_b (one "a" lower 1.) in
+  Alcotest.(check int) "subset sweep is clean" 0 (List.length v.Diff.changes);
+  Alcotest.(check int) "uncovered row is counted" 1 v.Diff.skipped
 
 let test_scenario_registry () =
   Scenarios.register ();
@@ -250,13 +325,13 @@ let test_scenario_registry () =
 
 let suite =
   [
-    Alcotest.test_case "metrics snapshot JSON round-trips" `Quick
-      test_snapshot_roundtrip;
+    Alcotest.test_case "metrics snapshot JSON carries its fields" `Quick
+      test_snapshot_json;
     Alcotest.test_case "cache hit rate never emits nan" `Quick
       test_hit_rate_nan_guard;
     Alcotest.test_case "sweep output is deterministic" `Slow
       test_sweep_deterministic;
-    Alcotest.test_case "diff flags a planted 2x slowdown" `Slow
+    Alcotest.test_case "diff flags any move of a real row" `Slow
       test_diff_gate;
     Alcotest.test_case "diff respects metric direction" `Quick
       test_diff_orientation;

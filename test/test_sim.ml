@@ -330,26 +330,6 @@ let test_prng_deterministic () =
     Alcotest.(check int64) "same stream" (Sim.Prng.next a) (Sim.Prng.next b)
   done
 
-let test_condvar () =
-  let eng = Sim.Engine.create () in
-  let m = Sim.Mutex.create () in
-  let cv = Sim.Condvar.create () in
-  let ready = ref false and observed = ref false in
-  ignore
-    (Sim.Engine.spawn eng (fun () ->
-         Sim.Mutex.with_lock eng m (fun () ->
-             while not !ready do
-               Sim.Condvar.wait eng cv m
-             done;
-             observed := true)));
-  ignore
-    (Sim.Engine.spawn eng (fun () ->
-         Sim.Engine.delay 30L;
-         Sim.Mutex.with_lock eng m (fun () -> ready := true);
-         Sim.Condvar.signal eng cv));
-  Sim.Engine.run eng;
-  Alcotest.(check bool) "condition observed" true !observed
-
 let qcheck_heap_ordered =
   QCheck.Test.make ~name:"heap pops in (time, seq) order" ~count:200
     QCheck.(list (int_bound 1000))
@@ -759,7 +739,6 @@ let suite =
     Alcotest.test_case "barrier shrinks when a party dies" `Quick
       test_barrier_remove_party;
     Alcotest.test_case "prng determinism" `Quick test_prng_deterministic;
-    Alcotest.test_case "condvar signal" `Quick test_condvar;
     Alcotest.test_case "deadlock report names blocked threads" `Quick
       test_deadlock_names_blocked_threads;
     Alcotest.test_case "no deadlock when all threads exit" `Quick
