@@ -54,7 +54,6 @@ let metric ?(dir = Lower_better) ?paper m_name m_value =
 type t = {
   sc_name : string;
   sc_area : string;
-  sc_doc : string;
   sc_dims : dims list;
   sc_quick : dims list;
   sc_run : dims -> metric list;
@@ -64,7 +63,7 @@ let registry : (string, t) Hashtbl.t = Hashtbl.create 16
 
 let order : string list ref = ref []
 
-let declare ~name ~area ?(doc = "") ~dims ?quick run =
+let declare ~name ~area ~dims ?quick run =
   if Hashtbl.mem registry name then
     invalid_arg ("Scenario.declare: duplicate " ^ name);
   if dims = [] then invalid_arg ("Scenario.declare: empty grid for " ^ name);
@@ -77,8 +76,8 @@ let declare ~name ~area ?(doc = "") ~dims ?quick run =
              name (dims_label q)))
     quick;
   let t =
-    { sc_name = name; sc_area = area; sc_doc = doc; sc_dims = dims;
-      sc_quick = quick; sc_run = run }
+    { sc_name = name; sc_area = area; sc_dims = dims; sc_quick = quick;
+      sc_run = run }
   in
   Hashtbl.replace registry name t;
   order := name :: !order;

@@ -94,11 +94,10 @@ let run_rpc ~op ~opname (dims : dims) =
 let rpc_base = { default_dims with workload = "rpc"; cells = 2; nodes = 4 }
 
 let declare_rpc () =
+  (* 400 interrupt-level null RPCs cell 0 -> 1; client-side latency
+     percentiles, optionally through a degraded link. *)
   ignore
     (declare ~name:"null-rpc" ~area:"rpc"
-       ~doc:
-         "400 interrupt-level null RPCs cell 0 -> 1; client-side latency \
-          percentiles, optionally through a degraded link."
        ~dims:
          [
            rpc_base;
@@ -109,9 +108,9 @@ let declare_rpc () =
          ]
        ~quick:[ rpc_base; { rpc_base with link_ms = 300 } ]
        (run_rpc ~op:Harness.noop_op ~opname:"bench.noop"));
+  (* 400 null RPCs through the queued service and server pool. *)
   ignore
     (declare ~name:"queued-rpc" ~area:"rpc"
-       ~doc:"400 null RPCs through the queued service and server pool."
        ~dims:[ rpc_base; { rpc_base with cells = 4 } ]
        ~quick:[ rpc_base ]
        (run_rpc ~op:Harness.noop_queued_op ~opname:"bench.noop_queued"))
@@ -213,11 +212,10 @@ let pmake_share_base =
   { default_dims with workload = "pmake"; cells = 4; nodes = 4 }
 
 let declare_sharing () =
+  (* Sequential remote read faults against a warm data home; second pass
+     must hit the import cache when enabled. *)
   ignore
     (declare ~name:"remote-read" ~area:"sharing"
-       ~doc:
-         "Sequential remote read faults against a warm data home; second \
-          pass must hit the import cache when enabled."
        ~dims:
          [
            read_base;
@@ -228,11 +226,10 @@ let declare_sharing () =
          ]
        ~quick:[ read_base; { read_base with import_cache = false } ]
        run_remote_read);
+  (* Full pmake; sharing RPCs per remotely accessed page with the import
+     cache on/off, output verified byte-identical. *)
   ignore
     (declare ~name:"pmake-sharing" ~area:"sharing"
-       ~doc:
-         "Full pmake; sharing RPCs per remotely accessed page with the \
-          import cache on/off, output verified byte-identical."
        ~dims:
          [
            pmake_share_base;
@@ -326,21 +323,18 @@ let run_fuzz_parallel_merge (dims : dims) =
 
 let declare_fuzz () =
   let base = { default_dims with workload = "fuzz"; cells = 4; nodes = 8 } in
+  (* Verdict and event-traffic profile of a fixed seed batch (ws = seeds);
+     deterministic, so the trajectory gates DES hot-path changes. *)
   ignore
     (declare ~name:"fuzz_batch" ~area:"fuzz"
-       ~doc:
-         "verdict and event-traffic profile of a fixed seed batch (ws = \
-          seeds); deterministic, so the trajectory gates DES hot-path \
-          changes"
        ~dims:
          [ { base with ws_pages = 8 }; { base with ws_pages = 16 } ]
        ~quick:[ { base with ws_pages = 8 } ]
        run_fuzz_batch);
+  (* Serial vs two-domain merge identity of the same seed batch (must be
+     1). *)
   ignore
     (declare ~name:"fuzz_parallel" ~area:"fuzz"
-       ~doc:
-         "serial vs two-domain merge identity of the same seed batch \
-          (must be 1)"
        ~dims:[ { base with ws_pages = 8 } ]
        run_fuzz_parallel_merge)
 
@@ -534,12 +528,11 @@ let declare_resilience () =
   let part_base =
     { default_dims with workload = "partition"; cells = 4; nodes = 4 }
   in
+  (* Black out one cell for link_ms, excise it under quorum agreement, and
+     measure reunification after the deterministic heal (single-master
+     invariant checked per row). *)
   ignore
     (declare ~name:"partition-heal" ~area:"resilience"
-       ~doc:
-         "black out one cell for link_ms, excise it under quorum \
-          agreement, and measure reunification after the deterministic \
-          heal (single-master invariant checked per row)"
        ~dims:
          [
            { part_base with link_ms = 200 };
@@ -551,12 +544,11 @@ let declare_resilience () =
   let salv_base =
     { default_dims with workload = "salvage"; cells = 2; nodes = 4 }
   in
+  (* Memory salvage A/B: clean pages imported from a cpu-dead mem-alive home
+     that survive recovery locally vs discarded (cache dimension = salvage
+     knob). *)
   ignore
     (declare ~name:"salvage-ab" ~area:"resilience"
-       ~doc:
-         "memory salvage A/B: clean pages imported from a cpu-dead \
-          mem-alive home that survive recovery locally vs discarded \
-          (cache dimension = salvage knob)"
        ~dims:
          [
            { salv_base with ws_pages = 16 };
@@ -661,13 +653,11 @@ let declare_traffic () =
       zipf_pct = 110;
     }
   in
+  (* Interactive Poisson/Zipf traffic with a cell killed mid-run:
+     surviving-cell served-read p99.9 during death+recovery vs the
+     pre-failure baseline, and fail-fast latency vs the deadline budget. *)
   ignore
     (declare ~name:"serve-through-failure" ~area:"traffic"
-       ~doc:
-         "interactive Poisson/Zipf traffic with a cell killed mid-run: \
-          surviving-cell served-read p99.9 during death+recovery vs the \
-          pre-failure baseline, and fail-fast latency vs the deadline \
-          budget"
        ~dims:
          [
            base;
@@ -809,13 +799,12 @@ let declare_scale () =
   let base =
     { default_dims with workload = "scale"; ws_pages = 512 }
   in
+  (* Boot N cells over 2N nodes with Wax hints driving placement, run a
+     pmake sized to the machine, fail-stop one cell mid-build, and reunify
+     through recovery + reintegration (ws = pages per node); gates
+     boot/recovery scaling and hint-validation health. *)
   ignore
     (declare ~name:"large-machine" ~area:"scale"
-       ~doc:
-         "boot N cells over 2N nodes with Wax hints driving placement, run \
-          a pmake sized to the machine, fail-stop one cell mid-build, and \
-          reunify through recovery + reintegration (ws = pages per node); \
-          gates boot/recovery scaling and hint-validation health"
        ~dims:
          [
            { base with cells = 4; nodes = 8 };
@@ -1302,61 +1291,53 @@ let run_ablation (dims : dims) =
 let declare_paper () =
   (* Every paper row is cheap enough for the reduced grid except the full
      69-test Table 7.4 run. *)
-  let paper ~name ~doc ?quick dims run =
+  let paper ~name ?quick dims run =
     let quick = Option.value quick ~default:dims in
-    ignore (declare ~name ~area:"paper" ~doc ~dims ~quick run)
+    ignore (declare ~name ~area:"paper" ~dims ~quick run)
   in
   let on w = { default_dims with workload = w; cells = 4; nodes = 4 } in
-  paper ~name:"rpc-latency"
-    ~doc:"Section 6: null, common-request and queued null RPC latency"
-    [ on "rpc" ] run_rpc_latency;
-  paper ~name:"careful-ref"
-    ~doc:"Section 4.1: careful-reference peer clock read vs the same via RPC"
-    [ on "clock" ] run_careful_ref;
+  (* Section 6: null, common-request and queued null RPC latency. *)
+  paper ~name:"rpc-latency" [ on "rpc" ] run_rpc_latency;
+  (* Section 4.1: careful-reference peer clock read vs the same via RPC. *)
+  paper ~name:"careful-ref" [ on "clock" ] run_careful_ref;
   let fault = { (on "fault") with ws_pages = 1024; import_cache = false } in
+  (* Table 5.2 (4 cells) and the Table 7.3 fault row (2 cells): local vs
+     remote read faults hitting the data home's cache, paper's sharing
+     protocol. *)
   paper ~name:"pagefault"
-    ~doc:
-      "Table 5.2 (4 cells) and the Table 7.3 fault row (2 cells): local vs \
-       remote read faults hitting the data home's cache, paper's sharing \
-       protocol"
     [ fault; { fault with cells = 2; nodes = 2 } ]
     run_pagefault;
   let pm = { (on "pmake") with import_cache = false } in
+  (* Section 5.2: page-cache faults under pmake and their cumulative
+     latency, paper's sharing protocol. *)
   paper ~name:"pagefault-pmake"
-    ~doc:
-      "Section 5.2: page-cache faults under pmake and their cumulative \
-       latency, paper's sharing protocol"
     [ pm; { pm with cells = 1 } ]
     run_pagefault_pmake;
+  (* Section 4.2: firewall check cost on a remote write miss (one on/off
+     pair), and remotely-writable pages per cell under pmake and ocean. *)
   paper ~name:"firewall"
-    ~doc:
-      "Section 4.2: firewall check cost on a remote write miss (one on/off \
-       pair), and remotely-writable pages per cell under pmake and ocean"
     [ on "write-miss"; on "pmake"; on "ocean" ]
     run_firewall;
+  (* Table 7.2: IRIX-mode run time and 1/2/4-cell slowdown per workload. *)
   paper ~name:"table-7.2"
-    ~doc:"Table 7.2: IRIX-mode run time and 1/2/4-cell slowdown per workload"
     [ on "ocean"; on "raytrace"; on "pmake" ]
     run_table_7_2;
   let t73 w =
     { default_dims with workload = w; cells = 2; nodes = 2; ws_pages = 1024 }
   in
+  (* Table 7.3: local vs remote 4 MB read, 4 MB write/extend and open on 2
+     processors / 2 cells. *)
   paper ~name:"table-7.3"
-    ~doc:
-      "Table 7.3: local vs remote 4 MB read, 4 MB write/extend and open on \
-       2 processors / 2 cells"
     [ t73 "read"; t73 "write"; t73 "open" ]
     run_table_7_3;
   let t74 n = { (on "faultinj") with ws_pages = n } in
+  (* Table 7.4: fault-injection campaigns through Fuzz.run_plan (ws = plans:
+     69 full, 14 sampled); detection, recovery, containment. *)
   paper ~name:"table-7.4"
-    ~doc:
-      "Table 7.4: fault-injection campaigns through Fuzz.run_plan (ws = \
-       plans: 69 full, 14 sampled); detection, recovery, containment"
     [ t74 69; t74 14 ] ~quick:[ t74 14 ] run_table_7_4;
+  (* Design ablations: clock tick vs detection latency, careful-reference
+     COW walk, preemptive discard on/off. *)
   paper ~name:"ablations"
-    ~doc:
-      "design ablations: clock tick vs detection latency, careful-reference \
-       COW walk, preemptive discard on/off"
     [ on "tick"; on "cow-walk"; { (on "discard") with cells = 2 } ]
     run_ablation
 

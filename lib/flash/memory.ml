@@ -41,21 +41,24 @@ let create cfg =
     wild_writes = Sim.Stats.counter ();
   }
 
-(* Gather [len] bytes starting at node-local offset [off] into a fresh
-   buffer; unallocated pages read as zeros. *)
-let copy_out cfg (nm : node_mem) ~off len =
+(* Gather [len] bytes starting at node-local offset [off] into [dst] at
+   [dst_off]; unallocated pages read as zeros. *)
+let blit_out cfg (nm : node_mem) ~off len dst dst_off =
   let psize = cfg.Config.page_size in
-  let dst = Bytes.make len '\000' in
   let pos = ref 0 in
   while !pos < len do
     let o = off + !pos in
     let page = o / psize and inpage = o mod psize in
     let n = min (len - !pos) (psize - inpage) in
     (match nm.pages.(page) with
-    | Some b -> Bytes.blit b inpage dst !pos n
-    | None -> ());
+    | Some b -> Bytes.blit b inpage dst (dst_off + !pos) n
+    | None -> Bytes.fill dst (dst_off + !pos) n '\000');
     pos := !pos + n
-  done;
+  done
+
+let copy_out cfg nm ~off len =
+  let dst = Bytes.create len in
+  blit_out cfg nm ~off len dst 0;
   dst
 
 (* Scatter [src] to node-local offset [off], allocating pages on first
@@ -147,6 +150,12 @@ let read_prologue eng t ~by addr len =
 let read eng t ~by addr len =
   let nm, off = read_prologue eng t ~by addr len in
   copy_out t.cfg nm ~off len
+
+let read_into eng t ~by addr len dst ~dst_off =
+  if dst_off < 0 || len < 0 || dst_off > Bytes.length dst - len then
+    invalid_arg "Memory.read_into: destination range out of bounds";
+  let nm, off = read_prologue eng t ~by addr len in
+  blit_out t.cfg nm ~off len dst dst_off
 
 (* Cached read: the line is expected hot in the local cache (kernel
    structures the owner touches constantly); charges L2-hit latency but

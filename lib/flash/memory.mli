@@ -43,6 +43,13 @@ val node_accessible : t -> int -> bool
 (** [read eng t ~by addr len] performs a cached read by processor [by]. *)
 val read : Sim.Engine.t -> t -> by:int -> Addr.t -> int -> Bytes.t
 
+(** [read_into eng t ~by addr len dst ~dst_off] is {!read} (same checks,
+    counter and latency) with the bytes stored into [dst] at [dst_off]
+    instead of a fresh buffer. Raises [Invalid_argument] before the
+    access when the destination range does not fit in [dst]. *)
+val read_into :
+  Sim.Engine.t -> t -> by:int -> Addr.t -> int -> Bytes.t -> dst_off:int -> unit
+
 (* Cached read of hot local kernel data: L2-hit latency, same fault
    model. *)
 val read_cached : Sim.Engine.t -> t -> by:int -> Addr.t -> int -> Bytes.t

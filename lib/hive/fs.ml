@@ -203,12 +203,15 @@ let stage_page (sys : Types.system) (home : Types.cell) (f : Types.file) page
     Bytes.blit f.Types.disk_content 0 bigger 0 (Bytes.length f.Types.disk_content);
     f.Types.disk_content <- bigger
   end;
-  let data =
-    Flash.Memory.read sys.Types.eng (mem sys) ~by:(Types.boss_proc home)
-      (frame_addr sys pf.Types.pfn)
-      psize
-  in
-  Bytes.blit data 0 f.Types.disk_content off psize;
+  let dst = f.Types.disk_content in
+  Flash.Memory.read_into sys.Types.eng (mem sys) ~by:(Types.boss_proc home)
+    (frame_addr sys pf.Types.pfn)
+    psize dst ~dst_off:off;
+  (* The read blocked: another thread may have replaced the buffer
+     meanwhile (a stager growing it), and the page belongs in the
+     current one. *)
+  if f.Types.disk_content != dst then
+    Bytes.blit dst off f.Types.disk_content off psize;
   pf.Types.dirty <- false;
   Types.bump home "fs.writebacks"
 
@@ -460,14 +463,11 @@ let read (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos ~len =
       match get_page sys c vnode ~page ~writable:false ~opened_gen ~usage:`Syscall with
       | Error e -> Error e
       | Ok pf ->
-        let data =
-          Flash.Memory.read sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
-            (frame_addr sys pf.Types.pfn + off)
-            chunk
-        in
-        (* Copy-out to the user buffer. *)
+        Flash.Memory.read_into sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
+          (frame_addr sys pf.Types.pfn + off)
+          chunk out ~dst_off:(len - remaining);
+        (* Charge the copy-out to the user buffer. *)
         Sim.Engine.delay (Flash.Config.copy_cost sys.Types.mcfg chunk);
-        Bytes.blit data 0 out (len - remaining) chunk;
         loop (pos + chunk) (remaining - chunk)
     end
   in

@@ -50,6 +50,8 @@ and t = {
   mutable cancelled_pending : int;
       (* cancelled, unpopped entries still sitting in the event heap *)
   owner : int; (* id of the domain that created the engine *)
+  mutable running : bool; (* inside [run] *)
+  mutable until : int64; (* the current [run]'s stop time, or max_int *)
 }
 
 type timer = event
@@ -80,7 +82,9 @@ let create () =
       jitter_block = -1;
       jitter_mask = 0;
       cancelled_pending = 0;
-      owner }
+      owner;
+      running = false;
+      until = Int64.max_int }
   and nil =
     { cancelled = false; retired = true; act = ignore; eng; key = 0; next = nil }
   in
@@ -115,7 +119,9 @@ let assert_owner eng op =
           are single-threaded; create one per domain)"
          op eng.owner d)
 
-let owner_domain eng = eng.owner
+(* The engine that [run] is driving on this domain, read by [delay]. *)
+let running_engine : t option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
 (* Give every queued event its own heap entry again, keyed by its own
    key. Called when jitter is switched on: the jittered keys of the
@@ -146,6 +152,17 @@ let set_jitter eng prng =
   end;
   eng.jitter <- prng
 
+(* Take the next sequence number, drawing the jitter mask of its block
+   of 8 when it starts one (see [schedule_at]). *)
+let next_seq eng =
+  let seq = eng.seq + 1 in
+  eng.seq <- seq;
+  if seq lsr 3 <> eng.jitter_block then begin
+    eng.jitter_block <- seq lsr 3;
+    eng.jitter_mask <- (match eng.jitter with None -> 0 | Some p -> Prng.int p 8)
+  end;
+  seq
+
 (* With jitter enabled, perturb the low bits of the tie-break sequence
    number so that events scheduled for the same virtual instant may pop in
    a different (but still seed-deterministic) order. Events at different
@@ -175,13 +192,8 @@ let set_jitter eng prng =
 let schedule_at eng time act =
   assert_owner eng "schedule_at";
   let time = if Int64.compare time eng.now < 0 then eng.now else time in
-  let seq = eng.seq + 1 in
-  eng.seq <- seq;
+  let seq = next_seq eng in
   eng.pending <- eng.pending + 1;
-  if seq lsr 3 <> eng.jitter_block then begin
-    eng.jitter_block <- seq lsr 3;
-    eng.jitter_mask <- (match eng.jitter with None -> 0 | Some p -> Prng.int p 8)
-  end;
   let key = ((seq lxor eng.jitter_mask) lsl 3) lor (seq land 7) in
   let e =
     { cancelled = false; retired = false; act; eng; key; next = eng.nil }
@@ -299,6 +311,25 @@ let finish eng thr =
 
 let exec eng thr body =
   let open Effect.Deep in
+  (* The wake-up of a delay continues the thread directly instead of
+     bouncing through a second resume event, halving event-queue traffic
+     on the delay/compute path. If a competing waker (kill, mailbox
+     send) claims the continuation first, it also cancels this timer,
+     so the direct continue can never race: a fired timer finding
+     [cont = Some] owns it. One closure serves every delay of the
+     thread. *)
+  let current = Some thr in
+  let wake () =
+    match thr.cont with
+    | None -> ()
+    | Some k ->
+      thr.cont <- None;
+      thr.timers <- [];
+      let prev = eng.current in
+      eng.current <- current;
+      (if thr.dead then discontinue k Killed else continue k ());
+      eng.current <- prev
+  in
   match_with
     (fun () -> try body () with Killed -> ())
     ()
@@ -319,28 +350,7 @@ let exec eng thr body =
                 if thr.dead then discontinue k Killed
                 else begin
                   thr.cont <- Some k;
-                  (* Fast path: the wakeup timer continues the thread
-                     directly instead of bouncing through a second
-                     resume event, halving event-queue traffic on the
-                     delay/compute path (the hottest in the simulator).
-                     If a competing waker (kill, mailbox send) claims
-                     the continuation first, it also cancels this
-                     timer, so the direct continue can never race: a
-                     fired timer finding [cont = Some] owns it. *)
-                  let tm =
-                    timer eng ~after:d (fun () ->
-                        match thr.cont with
-                        | None -> ()
-                        | Some k ->
-                          thr.cont <- None;
-                          thr.timers <- [];
-                          let prev = eng.current in
-                          eng.current <- Some thr;
-                          (if thr.dead then discontinue k Killed
-                           else continue k ());
-                          eng.current <- prev)
-                  in
-                  thr.timers <- tm :: thr.timers
+                  thr.timers <- timer eng ~after:d wake :: thr.timers
                 end)
           | E_suspend (site, register) ->
             Some
@@ -388,7 +398,32 @@ let self () = Effect.perform E_self
 
 let time () = Effect.perform E_now
 
-let delay ns = if Int64.compare ns 0L > 0 then Effect.perform (E_delay ns)
+(* A delay whose wake-up would be the very next event advances the
+   clock in place. The wake event would pop before everything queued
+   (strictly earlier than the heap minimum, cancelled entries included)
+   and within the run's [until], and nothing runs between a suspend and
+   that pop, so skipping the effect, the event and the heap round trip
+   changes nothing observable. The delay still takes the sequence number
+   (and, with jitter on, the mask) its event would have taken, so
+   [events_scheduled], the jitter stream and every later key are the
+   same. Only the current thread of the engine [run] is driving on this
+   domain qualifies; anything else takes the effect. *)
+let delay ns =
+  if ns > 0L then
+    match Domain.DLS.get running_engine with
+    | Some ({ current = Some thr; _ } as eng) when not thr.dead ->
+      let wake_at = Int64.add eng.now ns in
+      if
+        wake_at <= eng.until
+        && (Heap.is_empty eng.events
+           || wake_at < (Heap.min eng.events).Heap.time)
+      then begin
+        ignore (next_seq eng);
+        thr.site <- "delay";
+        eng.now <- wake_at
+      end
+      else Effect.perform (E_delay ns)
+    | _ -> Effect.perform (E_delay ns)
 
 let yield () = Effect.perform (E_delay 0L)
 
@@ -415,6 +450,15 @@ let dequeue eng (top : event Heap.entry) ev =
 
 let run ?until eng =
   assert_owner eng "run";
+  if eng.running then invalid_arg "Engine.run: re-entrant run of one engine";
+  let outer = Domain.DLS.get running_engine in
+  eng.running <- true;
+  eng.until <- Option.value until ~default:Int64.max_int;
+  Domain.DLS.set running_engine (Some eng);
+  let leave () =
+    eng.running <- false;
+    Domain.DLS.set running_engine outer
+  in
   let continue_run () =
     if Heap.is_empty eng.events then false
     else begin
@@ -425,24 +469,22 @@ let run ?until eng =
         eng.cancelled_pending <- eng.cancelled_pending - 1;
         true
       end
+      else if top.Heap.time > eng.until then begin
+        eng.now <- eng.until;
+        false
+      end
       else begin
-        match until with
-        | Some u when Int64.compare top.Heap.time u > 0 ->
-          eng.now <- u;
-          false
-        | _ ->
-          dequeue eng top ev;
-          eng.now <- top.Heap.time;
-          ev.act ();
-          true
+        dequeue eng top ev;
+        eng.now <- top.Heap.time;
+        ev.act ();
+        true
       end
     end
   in
-  while continue_run () do
-    ()
-  done
-
-let run_until_quiescent eng = run eng
+  Fun.protect ~finally:leave (fun () ->
+      while continue_run () do
+        ()
+      done)
 
 let live_threads eng = eng.live
 
@@ -453,8 +495,6 @@ let pending_events eng = eng.pending
 let next_event_time eng =
   if Heap.is_empty eng.events then None
   else Some (Heap.min eng.events).Heap.time
-
-let queue_capacity eng = Heap.capacity eng.events
 
 (* Total events ever scheduled; a deterministic measure of how much work
    a simulation did (wall-clock-free, so benches can gate on it). *)

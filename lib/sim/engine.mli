@@ -107,7 +107,14 @@ val self : unit -> thread
 
 val time : unit -> int64
 
-(** Block for a number of virtual nanoseconds. *)
+(** [delay d] blocks the calling thread for [d] virtual nanoseconds; a
+    no-op when [d <= 0]. When the wake-up would be the very next event —
+    the caller is the current thread of the engine {!run} is driving,
+    [now + d] is within the run's [until] and strictly earlier than every
+    queued event — the clock advances in place with no suspension and no
+    queued event. Either way the delay takes one sequence number (and its
+    jitter draw), so {!events_scheduled} and the event order are the
+    same as if it had suspended. *)
 val delay : int64 -> unit
 
 val yield : unit -> unit
@@ -123,10 +130,10 @@ val at_exit_thread : (unit -> unit) -> unit
 
 (** {2 Driving the simulation} *)
 
-(** Run until the event queue empties, or until the given virtual time. *)
+(** Run until the event queue empties, or until the given virtual time.
+    Raises [Invalid_argument] when called while a [run] of the same
+    engine is in progress (from one of its threads or callbacks). *)
 val run : ?until:int64 -> t -> unit
-
-val run_until_quiescent : t -> unit
 
 val live_threads : t -> int
 
@@ -137,22 +144,15 @@ val pending_events : t -> int
     simulation state can change, so there is nothing to poll. *)
 val next_event_time : t -> int64 option
 
-(** Slots in the event-heap backing array; tests use it to assert that
-    compaction and post-campaign shrinking actually release memory. *)
-val queue_capacity : t -> int
-
 (** Total events ever scheduled on this engine — a deterministic,
     wall-clock-free measure of simulation work (benches report
-    events/s from it). *)
+    events/s from it). Delays advanced in place count: each takes the
+    sequence number its wake-up event would have taken. *)
 val events_scheduled : t -> int
 
 (** Cancelled entries still occupying heap slots (drops to 0 after a
     compaction sweep or once they drain through the run loop). *)
 val cancelled_pending : t -> int
-
-(** Id of the domain that created this engine (the only domain allowed to
-    drive it). *)
-val owner_domain : t -> int
 
 (** Live (not yet finished) threads, sorted by tid. After {!run} returns
     with an empty queue these are exactly the blocked threads. *)

@@ -182,6 +182,34 @@ let test_memory_read_latency () =
           (* One cache line: one 700 ns miss. *)
           Alcotest.(check int64) "one-line read costs one miss" 700L dt))
 
+(* [read_into] stores exactly what [read] returns, at the offset, with
+   never-written pages as zeros over whatever the buffer held, and costs
+   the same latency. *)
+let test_memory_read_into_matches_read () =
+  with_machine (fun eng m ->
+      in_thread eng (fun () ->
+          let mem = Flash.Machine.memory m in
+          Flash.Memory.poke mem 0 (Bytes.make page 'a');
+          let addr = page - 100 and len = 300 in
+          let t0 = Sim.Engine.time () in
+          let want = Flash.Memory.read eng mem ~by:0 addr len in
+          let t1 = Sim.Engine.time () in
+          let buf = Bytes.make 400 'x' in
+          Flash.Memory.read_into eng mem ~by:0 addr len buf ~dst_off:50;
+          let t2 = Sim.Engine.time () in
+          Alcotest.(check string) "same bytes at the offset"
+            (Bytes.to_string want) (Bytes.sub_string buf 50 len);
+          Alcotest.(check string) "unwritten page reads as zeros"
+            (String.make 200 '\000') (Bytes.sub_string buf 150 200);
+          Alcotest.(check string) "rest of the buffer untouched"
+            (String.make 100 'x')
+            (Bytes.sub_string buf 0 50 ^ Bytes.sub_string buf 350 50);
+          Alcotest.(check int64) "same latency" (Int64.sub t1 t0)
+            (Int64.sub t2 t1);
+          Alcotest.check_raises "destination too small"
+            (Invalid_argument "Memory.read_into: destination range out of bounds")
+            (fun () -> Flash.Memory.read_into eng mem ~by:0 0 8 buf ~dst_off:395)))
+
 let test_memory_write_latency_includes_firewall_check () =
   with_machine (fun eng m ->
       in_thread eng (fun () ->
@@ -473,6 +501,8 @@ let suite =
       test_memory_cutoff;
     Alcotest.test_case "read latency = one miss per line" `Quick
       test_memory_read_latency;
+    Alcotest.test_case "memory read_into matches read" `Quick
+      test_memory_read_into_matches_read;
     Alcotest.test_case "write latency includes firewall check" `Quick
       test_memory_write_latency_includes_firewall_check;
     Alcotest.test_case "wild writes bounce off the firewall" `Quick

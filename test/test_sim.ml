@@ -491,38 +491,52 @@ let test_no_deadlock_when_all_exit () =
 
 (* Engine event-queue property. A random program — events that, when
    they fire, schedule children (often [after:0] or onto an instant that
-   is already queued), schedule into the past, cancel earlier timers, or
+   is already queued), schedule into the past, cancel earlier timers,
    queue a burst of far-future timers and cancel most of it (enough to
-   trigger compaction) — runs on the engine and on a reference model of
+   trigger compaction), or spawn a thread that runs a chain of delays
+   (zero, small, onto a queued instant, or long enough to cross a
+   [run ~until] stop) — runs on the engine and on a reference model of
    the queue: a flat list popped in [(time, key)] order, with the engine's
-   compaction rule and jitter-key formula. [jitter] is 0 (off), 1 (on
-   from mid-schedule) or 2 (on from mid-schedule, off again at the first
-   stop). Every pop, and every [run ~until] stop, must observe the same
-   clock, [pending_events] and [next_event_time] in both, and no two
-   events may ever share a [(time, key)]. *)
+   compaction rule and jitter-key formula, where a spawn and each
+   positive delay are events (at now and at now + d) that take the next
+   key. [jitter] is 0 (off), 1 (on from mid-schedule) or 2 (on from
+   mid-schedule, off again at the first stop). Every pop, every delay's
+   return, and every [run ~until] stop must observe the same clock,
+   [pending_events], [next_event_time] and [events_scheduled] in both,
+   and no two events may ever share a [(time, key)]. *)
 type 'h queue = {
   q_schedule_at : int64 -> (unit -> unit) -> 'h;
   q_cancel : 'h -> unit;
+  q_spawn : (unit -> unit) -> unit;
+  q_delay : int64 -> (unit -> unit) -> unit;
+      (* [q_delay d k]: from a thread, delay [d] then continue with [k] *)
   q_now : unit -> int64;
   q_pending : unit -> int;
   q_next : unit -> int64 option;
+  q_scheduled : unit -> int;
   q_run : int64 option -> unit;
   q_set_jitter : Sim.Prng.t option -> unit;
 }
 
-type q_action = Sched of int64 | Sched_past | Cancel of int | Burst of int
+type q_action =
+  | Sched of int64
+  | Sched_past
+  | Cancel of int
+  | Burst of int
+  | Thread of int
 
 let queue_program_cap = 500
 
 let actions_of seed id =
   let r = Random.State.make [| seed; id |] in
   List.init (Random.State.int r 3) (fun _ ->
-      match Random.State.int r 20 with
+      match Random.State.int r 22 with
       | 0 | 1 | 2 | 3 | 4 | 5 -> Sched 0L
       | 6 | 7 | 8 | 9 -> Sched (Int64.of_int (1 + Random.State.int r 3))
       | 10 | 11 | 12 -> Sched (Int64.of_int (10 + Random.State.int r 40))
       | 13 -> Sched_past
       | 14 | 15 | 16 | 17 -> Cancel (Random.State.bits r)
+      | 18 | 19 -> Thread (Random.State.bits r)
       | _ -> Burst (Random.State.bits r))
 
 (* Runs the program on [q]; returns what every pop and stop observed. *)
@@ -530,7 +544,10 @@ let drive_queue q ~seed ~jitter ~init ~stops =
   let handles = Hashtbl.create 64 in
   let created = ref 0 in
   let log = ref [] in
-  let observe id = log := (id, q.q_now (), q.q_pending (), q.q_next ()) :: !log in
+  let observe id =
+    log := (id, q.q_now (), q.q_pending (), q.q_next (), q.q_scheduled ()) :: !log
+  in
+  let threads = ref 0 in
   let rec sched time =
     if !created < queue_program_cap then begin
       let id = !created in
@@ -561,8 +578,34 @@ let drive_queue q ~seed ~jitter ~init ~stops =
             in
             if not kept then q.q_cancel (Hashtbl.find handles i)
           done;
-          sched (Int64.add now 100L))
+          sched (Int64.add now 100L)
+        | Thread bits ->
+          let tid = !threads in
+          incr threads;
+          if tid < 40 then q.q_spawn (fun () -> thread tid bits 0))
       (actions_of seed id)
+  (* Step [step] of thread [tid]: two bits of [bits] pick the delay,
+     one more whether it then schedules a same-instant event. *)
+  and thread tid bits step =
+    if step < 1 + (bits land 3) then begin
+      let b = bits lsr (2 + (3 * step)) in
+      let now = q.q_now () in
+      let d =
+        match b land 3 with
+        | 0 -> 0L
+        | 1 -> Int64.of_int (1 + (b lsr 2 land 1))
+        | 2 -> (
+          (* onto the earliest queued instant *)
+          match q.q_next () with
+          | Some t when Int64.compare t now > 0 -> Int64.sub t now
+          | _ -> 1L)
+        | _ -> 150L
+      in
+      q.q_delay d (fun () ->
+          observe (queue_program_cap + (10 * tid) + step);
+          if b land 4 <> 0 then sched (q.q_now ());
+          thread tid bits (step + 1))
+    end
   in
   let half = List.length init / 2 in
   List.iteri (fun i t -> if i < half then sched (Int64.of_int t)) init;
@@ -583,9 +626,15 @@ let engine_queue () =
   {
     q_schedule_at = Sim.Engine.schedule_at eng;
     q_cancel = Sim.Engine.cancel;
+    q_spawn = (fun f -> ignore (Sim.Engine.spawn eng f));
+    q_delay =
+      (fun d k ->
+        Sim.Engine.delay d;
+        k ());
     q_now = (fun () -> Sim.Engine.now eng);
     q_pending = (fun () -> Sim.Engine.pending_events eng);
     q_next = (fun () -> Sim.Engine.next_event_time eng);
+    q_scheduled = (fun () -> Sim.Engine.events_scheduled eng);
     q_run = (fun until -> Sim.Engine.run ?until eng);
     q_set_jitter = Sim.Engine.set_jitter eng;
   }
@@ -633,24 +682,30 @@ let model_queue () =
         ev.m_act ();
         run until)
   in
+  let schedule_at time act =
+    let time = if Int64.compare time !now < 0 then !now else time in
+    incr seq;
+    if !seq lsr 3 <> !block then begin
+      block := !seq lsr 3;
+      mask := match !jitter with None -> 0 | Some p -> Sim.Prng.int p 8
+    end;
+    let key = ((!seq lxor !mask) lsl 3) lor (!seq land 7) in
+    if Hashtbl.mem keys (time, key) then raise (Duplicate_key (time, key));
+    Hashtbl.replace keys (time, key) ();
+    let ev =
+      { m_time = time; m_key = key; m_act = act; m_cancelled = false;
+        m_queued = true }
+    in
+    queued := ev :: !queued;
+    ev
+  in
   {
-    q_schedule_at =
-      (fun time act ->
-        let time = if Int64.compare time !now < 0 then !now else time in
-        incr seq;
-        if !seq lsr 3 <> !block then begin
-          block := !seq lsr 3;
-          mask := match !jitter with None -> 0 | Some p -> Sim.Prng.int p 8
-        end;
-        let key = ((!seq lxor !mask) lsl 3) lor (!seq land 7) in
-        if Hashtbl.mem keys (time, key) then raise (Duplicate_key (time, key));
-        Hashtbl.replace keys (time, key) ();
-        let ev =
-          { m_time = time; m_key = key; m_act = act; m_cancelled = false;
-            m_queued = true }
-        in
-        queued := ev :: !queued;
-        ev);
+    q_schedule_at = schedule_at;
+    q_spawn = (fun f -> ignore (schedule_at !now f));
+    q_delay =
+      (fun d k ->
+        if Int64.compare d 0L > 0 then ignore (schedule_at (Int64.add !now d) k)
+        else k ());
     q_cancel =
       (fun ev ->
         if ev.m_queued && not ev.m_cancelled then begin
@@ -665,6 +720,7 @@ let model_queue () =
           end
         end);
     q_now = (fun () -> !now);
+    q_scheduled = (fun () -> !seq);
     q_pending = (fun () -> List.length !queued);
     q_next =
       (fun () -> Option.map (fun e -> e.m_time) (first ()));
@@ -707,6 +763,119 @@ let test_jitter_on_splits_runs () =
     if run (engine_queue ()) <> run (model_queue ()) then
       Alcotest.failf "seed %d: engine and model diverge" seed
   done
+
+(* A delay that would wake after the run's [until] must not advance in
+   place: the thread parks, the clock stops at [until], and the next run
+   wakes it on time. *)
+let test_delay_crossing_until_parks () =
+  let eng = Sim.Engine.create () in
+  let woke = ref None in
+  let thr =
+    Sim.Engine.spawn eng ~name:"sleeper" (fun () ->
+        Sim.Engine.delay 10L;
+        Sim.Engine.delay 100L;
+        woke := Some (Sim.Engine.time ()))
+  in
+  Sim.Engine.run ~until:50L eng;
+  check_i64 "clock stops at until" 50L (Sim.Engine.now eng);
+  Alcotest.(check (option int64)) "not woken yet" None !woke;
+  Alcotest.(check string) "parked in delay" "delay" thr.Sim.Engine.site;
+  Alcotest.(check int) "wake-up queued" 1 (Sim.Engine.pending_events eng);
+  Alcotest.(check (option int64)) "wake-up time" (Some 110L)
+    (Sim.Engine.next_event_time eng);
+  Sim.Engine.run eng;
+  Alcotest.(check (option int64)) "woken on time" (Some 110L) !woke
+
+(* A delay landing exactly on a queued instant is not the next event:
+   the queued event (smaller key) runs first. *)
+let test_delay_onto_queued_instant () =
+  let eng = Sim.Engine.create () in
+  let order = ref [] in
+  ignore
+    (Sim.Engine.spawn eng (fun () ->
+         Sim.Engine.schedule eng ~after:10L (fun () -> order := "event" :: !order);
+         Sim.Engine.delay 10L;
+         order := "thread" :: !order;
+         Sim.Engine.delay 5L;
+         order := "thread2" :: !order));
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "queued event first"
+    [ "event"; "thread"; "thread2" ] (List.rev !order);
+  check_i64 "clock" 15L (Sim.Engine.now eng);
+  Alcotest.(check int) "every delay takes a key" 4
+    (Sim.Engine.events_scheduled eng)
+
+(* A thread killed while running unwinds at its next delay, even when
+   the delay would otherwise advance in place. *)
+let test_killed_thread_delay_raises () =
+  let eng = Sim.Engine.create () in
+  let outcome = ref "" in
+  ignore
+    (Sim.Engine.spawn eng (fun () ->
+         Sim.Engine.kill eng (Sim.Engine.self ());
+         match Sim.Engine.delay 5L with
+         | () -> outcome := "returned"
+         | exception Sim.Engine.Killed -> outcome := "killed"));
+  Sim.Engine.run eng;
+  Alcotest.(check string) "delay raised Killed" "killed" !outcome;
+  check_i64 "clock did not move" 0L (Sim.Engine.now eng);
+  Alcotest.(check int) "thread gone" 0 (Sim.Engine.live_threads eng)
+
+(* With jitter on, threads delaying onto shared and fresh instants pop
+   in the model's order and take the model's keys: each delay behaves as
+   the event its suspension would have queued. *)
+let test_jittered_delays_match_effect_path () =
+  for seed = 0 to 63 do
+    let run q =
+      let log = ref [] in
+      let note tag = log := (tag, q.q_now (), q.q_scheduled ()) :: !log in
+      q.q_set_jitter (Some (Sim.Prng.create seed));
+      for t = 0 to 5 do
+        q.q_spawn (fun () ->
+            let rec go step =
+              if step < 6 then
+                q.q_delay (Int64.of_int (1 + ((t + step) mod 3))) (fun () ->
+                    note ((10 * t) + step);
+                    go (step + 1))
+            in
+            go 0);
+        ignore (q.q_schedule_at (Int64.of_int (2 * t)) (fun () -> note (-t)))
+      done;
+      q.q_run None;
+      List.rev !log
+    in
+    if run (engine_queue ()) <> run (model_queue ()) then
+      Alcotest.failf "seed %d: engine and model diverge" seed
+  done
+
+(* [run] is not re-entrant on one engine, and it leaves nothing behind
+   when an exception escapes it: no stale running flag (it can run
+   again) and no stale running engine (a delay outside any run is an
+   unhandled effect, not a silent clock advance). *)
+let test_run_exception_clears_running_engine () =
+  let eng = Sim.Engine.create () in
+  let reentry = ref None in
+  Sim.Engine.set_crash_handler eng (fun _ e -> reentry := Some e);
+  ignore (Sim.Engine.spawn eng (fun () -> Sim.Engine.run eng));
+  Sim.Engine.run eng;
+  (match !reentry with
+  | Some (Invalid_argument _) -> ()
+  | _ -> Alcotest.fail "re-entrant run not refused");
+  ignore
+    (Sim.Engine.spawn eng (fun () ->
+         Sim.Engine.delay 3L;
+         Sim.Engine.suspend (fun _ -> failwith "boom")));
+  (match Sim.Engine.run eng with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
+  check_i64 "clock at the failure" 3L (Sim.Engine.now eng);
+  (match Sim.Engine.delay 5L with
+  | () -> Alcotest.fail "delay outside run advanced a stale engine"
+  | exception Effect.Unhandled _ -> ());
+  check_i64 "clock untouched" 3L (Sim.Engine.now eng);
+  ignore (Sim.Engine.spawn eng (fun () -> Sim.Engine.delay 4L));
+  Sim.Engine.run eng;
+  check_i64 "engine runs again" 7L (Sim.Engine.now eng)
 
 let suite =
   [
@@ -754,6 +923,16 @@ let suite =
     Alcotest.test_case "jitter switched on mid-run splits runs" `Quick
       test_jitter_on_splits_runs;
     QCheck_alcotest.to_alcotest qcheck_engine_queue_matches_model;
+    Alcotest.test_case "delay crossing until parks the thread" `Quick
+      test_delay_crossing_until_parks;
+    Alcotest.test_case "delay onto a queued instant runs after it" `Quick
+      test_delay_onto_queued_instant;
+    Alcotest.test_case "killed thread's delay raises Killed" `Quick
+      test_killed_thread_delay_raises;
+    Alcotest.test_case "jittered delays match the effect path" `Quick
+      test_jittered_delays_match_effect_path;
+    Alcotest.test_case "exception out of run clears the running engine"
+      `Quick test_run_exception_clears_running_engine;
     QCheck_alcotest.to_alcotest qcheck_prng_bounds;
     QCheck_alcotest.to_alcotest qcheck_mailbox_preserves_messages;
   ]
