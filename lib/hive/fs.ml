@@ -203,15 +203,12 @@ let stage_page (sys : Types.system) (home : Types.cell) (f : Types.file) page
     Bytes.blit f.Types.disk_content 0 bigger 0 (Bytes.length f.Types.disk_content);
     f.Types.disk_content <- bigger
   end;
-  let dst = f.Types.disk_content in
-  Flash.Memory.read_into sys.Types.eng (mem sys) ~by:(Types.boss_proc home)
-    (frame_addr sys pf.Types.pfn)
-    psize dst ~dst_off:off;
-  (* The read blocked: another thread may have replaced the buffer
-     meanwhile (a stager growing it), and the page belongs in the
-     current one. *)
-  if f.Types.disk_content != dst then
-    Bytes.blit dst off f.Types.disk_content off psize;
+  let data =
+    Flash.Memory.read sys.Types.eng (mem sys) ~by:(Types.boss_proc home)
+      (frame_addr sys pf.Types.pfn)
+      psize
+  in
+  Bytes.blit data 0 f.Types.disk_content off psize;
   pf.Types.dirty <- false;
   Types.bump home "fs.writebacks"
 

@@ -1,23 +1,14 @@
 type 'a entry = { time : int64; seq : int; mutable payload : 'a }
 
-(* [front] holds an entry pushed ahead of everything queued, outside
-   the array: the engine's most common push is an event for the very
-   next instant (a wake-up at [now]), popped right after, and the slot
-   serves that pair in O(1) instead of a sift to the root and back.
-   Invariant: [front], when set, is before every array entry. *)
-type 'a t = {
-  mutable data : 'a entry array;
-  mutable size : int;
-  mutable front : 'a entry option;
-}
+type 'a t = { mutable data : 'a entry array; mutable size : int }
 
-let create () = { data = [||]; size = 0; front = None }
+let create () = { data = [||]; size = 0 }
 
-let length h = h.size + if Option.is_some h.front then 1 else 0
+let length h = h.size
 
 let capacity h = Array.length h.data
 
-let is_empty h = h.size = 0 && Option.is_none h.front
+let is_empty h = h.size = 0
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
@@ -75,50 +66,31 @@ let rec sift_down h i =
     end
   end
 
-let append h e =
-  if Array.length h.data = 0 then h.data <- Array.make 16 e;
-  grow h;
-  h.data.(h.size) <- e;
-  h.size <- h.size + 1
-
-let insert h e =
-  append h e;
-  sift_up h (h.size - 1)
-
 let push h ~time ~seq payload =
   let e = { time; seq; payload } in
-  match h.front with
-  | Some f when before e f ->
-    h.front <- Some e;
-    insert h f
-  | Some _ -> insert h e
-  | None ->
-    if h.size = 0 || before e h.data.(0) then h.front <- Some e
-    else insert h e
+  if h.size = 0 && Array.length h.data = 0 then h.data <- Array.make 16 e;
+  grow h;
+  h.data.(h.size) <- e;
+  h.size <- h.size + 1;
+  sift_up h (h.size - 1)
 
 let min h =
-  match h.front with
-  | Some f -> f
-  | None ->
-    if h.size = 0 then invalid_arg "Heap.min: empty heap";
-    h.data.(0)
+  if h.size = 0 then invalid_arg "Heap.min: empty heap";
+  h.data.(0)
 
 let drop_min h =
-  match h.front with
-  | Some _ -> h.front <- None
-  | None ->
-    if h.size = 0 then invalid_arg "Heap.drop_min: empty heap";
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    shrink h
+  if h.size = 0 then invalid_arg "Heap.drop_min: empty heap";
+  h.size <- h.size - 1;
+  if h.size > 0 then begin
+    h.data.(0) <- h.data.(h.size);
+    sift_down h 0
+  end;
+  shrink h
 
 let pop h =
-  if is_empty h then None
+  if h.size = 0 then None
   else begin
-    let top = min h in
+    let top = h.data.(0) in
     drop_min h;
     Some top
   end
@@ -128,10 +100,8 @@ let pop h =
    side effects such as marking the dropped entries dead), then rebuild
    the heap invariant bottom-up: O(n), versus O(n log n) for popping the
    survivors one by one. Keys are untouched, so the pop order of the
-   survivors is unchanged. The front entry joins the array first. *)
+   survivors is unchanged. *)
 let filter_map h f =
-  Option.iter (append h) h.front;
-  h.front <- None;
   let k = ref 0 in
   for i = 0 to h.size - 1 do
     let e = h.data.(i) in

@@ -1,9 +1,7 @@
 (** Min-heap (4-ary, for cache locality on the pop path) keyed by
     [(time, seq)], used as the simulation event queue. Ties on [time] are
     broken by insertion sequence number, which makes event delivery
-    deterministic. An entry pushed ahead of everything queued waits in a
-    front slot outside the array, so a push followed by its pop costs
-    O(1); the pop order is the same [(time, seq)] order either way. *)
+    deterministic. *)
 
 (** [payload] is mutable: replacing it in place leaves the key, and so
     the heap order, untouched. *)
@@ -15,9 +13,9 @@ val create : unit -> 'a t
 
 val length : 'a t -> int
 
-(** Slots in the backing array (at least {!length} minus the front
-    entry); exposed so tests can assert that compaction and shrinking
-    actually release memory. *)
+(** Slots in the backing array (>= {!length}); exposed so tests and the
+    engine can assert that compaction and shrinking actually release
+    memory. *)
 val capacity : 'a t -> int
 
 val is_empty : 'a t -> bool
